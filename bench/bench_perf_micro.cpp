@@ -24,7 +24,6 @@
 #include "ld/election/workspace.hpp"
 #include "ld/experiments/workloads.hpp"
 #include "ld/mech/approval_size_threshold.hpp"
-#include "prob/batch_tally.hpp"
 #include "prob/convolve.hpp"
 #include "prob/poisson_binomial.hpp"
 #include "prob/weighted_bernoulli_sum.hpp"
@@ -483,32 +482,6 @@ void convolve_simd_bench(benchmark::State& state, support::SimdTier tier) {
                             static_cast<benchmark::IterationCount>(n));
 }
 
-// Batched SoA tally on the √n-budget profile: 8 lanes of the same outcome
-// under independent competency draws, advanced in lockstep.  Compare
-// items/s against 8 sequential BM_TallyExactBudget calls for the batching
-// speedup; results stay bit-identical to the sequential tally.
-void tally_batched_bench(benchmark::State& state, support::SimdTier tier) {
-    TierPin pin(tier);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    rng::Rng rng(9);  // same stream family as BM_TallyExactBudget
-    const auto out = budget_outcome(n);
-    std::vector<model::CompetencyVector> comps;
-    comps.reserve(election::TallyBatch::kMaxLanes);
-    for (std::size_t k = 0; k < election::TallyBatch::kMaxLanes; ++k) {
-        comps.push_back(model::uniform_competencies(rng, n, 0.45, 0.65));
-    }
-    election::TallyBatch batch;
-    for (auto _ : state) {
-        batch.clear();
-        for (const auto& c : comps) election::stage_tally_lane(batch, out, c);
-        election::tally_staged(batch);
-        benchmark::DoNotOptimize(batch.result);
-    }
-    state.SetItemsProcessed(
-        state.iterations() *
-        static_cast<benchmark::IterationCount>(election::TallyBatch::kMaxLanes));
-}
-
 // Register the per-tier benchmarks for tiers this host can execute, so an
 // absent ISA shows up in bench_diff as an added/removed benchmark rather
 // than a failure.  Scalar always registers — it is the cross-host anchor.
@@ -520,11 +493,6 @@ void register_simd_benchmarks() {
         benchmark::RegisterBenchmark(
             ("BM_ConvolveSimd/" + name).c_str(),
             [tier](benchmark::State& s) { convolve_simd_bench(s, tier); })
-            ->Arg(2000);
-        benchmark::RegisterBenchmark(
-            ("BM_TallyBatched/" + name).c_str(),
-            [tier](benchmark::State& s) { tally_batched_bench(s, tier); })
-            ->Arg(500)
             ->Arg(2000);
     }
 }

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string_view>
 
 #include <unistd.h>
@@ -51,6 +52,16 @@ std::size_t parse_size(const std::string& value, const std::string& flag) {
         throw SpecError(flag + ": expected a non-negative integer");
     }
     return static_cast<std::size_t>(parsed);
+}
+
+/// The `tally ε` row of the gain report: which tally route produced P^M
+/// and what error it carries.
+std::string tally_route_label(const election::EvalOptions& eval) {
+    if (eval.approximate_tally) return "- (normal approx.)";
+    if (eval.tally_epsilon == 0.0) return "0 (exact)";
+    std::ostringstream os;
+    os << eval.tally_epsilon << " (certified)";
+    return os.str();
 }
 
 /// Apply a `--simd` value (run/sweep/serve all accept it).  "auto" keeps
@@ -110,10 +121,10 @@ usage: liquidd [run] [flags]
                          P^M standard error reaches <se> (overrides --reps;
                          deterministic for a fixed seed/threads pair)
   --max-reps <count>     ceiling on adaptive replications (default 100000)
-  --tally-eps <eps>      certified ε-truncated inner tally: each
-                         per-realization P^M term is within eps/2 of the
-                         exact DP, at a fraction of the cost (default 0 =
-                         exact; try 1e-12)
+  --tally-eps <eps>      ε of the windowed inner tally: each
+                         per-realization P^M term is within a certified
+                         eps/2 of the exact DP, and the gain CI widens by
+                         eps/2 (default 1e-12; 0 = exact)
   --certify <gamma> <delta>
                          certified anytime-valid stopping: replicate until
                          a confidence sequence decides "gain >= gamma"
@@ -274,6 +285,7 @@ int run(const Options& options, std::ostream& out) {
     table.add_row({std::string("P^M std error"), report.pm.std_error});
     table.add_row({std::string("P^M replications"),
                    static_cast<double>(report.pm.replications)});
+    table.add_row({std::string("tally ε"), tally_route_label(eval)});
     table.add_row({std::string("gain"), report.gain});
     table.add_row({std::string("gain CI lo"), report.gain_ci.lo});
     table.add_row({std::string("gain CI hi"), report.gain_ci.hi});
@@ -537,8 +549,9 @@ accepting, finish admitted work, flush metrics, exit 0.
                          target the same cached instance (default 16)
   --threads <count>      default eval threads for requests that name
                          none (default 0 = auto, one per hardware thread)
-  --tally-eps <eps>      default certified truncation ε applied to eval
-                         requests that name no tally_eps (default 0 = exact)
+  --tally-eps <eps>      default windowed-tally ε applied to eval
+                         requests that name no tally_eps (default 1e-12;
+                         0 = exact)
   --deadline-ms <ms>     default per-request deadline when a request
                          carries no deadline_ms (default 0 = none)
   --write-timeout-ms <ms>  bound on any single response write; a client

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "ld/election/tally.hpp"
+
 namespace ld::cli {
 
 /// Parsed command line.
@@ -27,7 +29,8 @@ struct Options {
     bool approximate = false;      ///< Lemma-4 normal-approximation tallies
     double target_se = 0.0;        ///< --target-se: adaptive stopping (0 = fixed reps)
     std::size_t max_replications = 100'000;  ///< --max-reps: adaptive ceiling
-    double tally_eps = 0.0;        ///< --tally-eps: certified truncated tally (0 = exact)
+    double tally_eps = election::kDefaultTallyEpsilon;  ///< --tally-eps: windowed tally ε
+                                                        ///< (0 = exact)
     double certify_gamma = 0.0;    ///< --certify <gamma> <delta>: gain threshold
     double certify_delta = 0.0;    ///< --certify: error budget (0 = off)
     std::string cs_boundary = "empirical_bernstein";  ///< --cs-boundary
@@ -81,7 +84,7 @@ struct ServeOptions {
     std::size_t queue_capacity = 128;        ///< --queue-capacity
     std::size_t batch_max = 16;              ///< --batch-max
     std::size_t threads = 0;                 ///< --threads (0 = auto)
-    double tally_eps = 0.0;                  ///< --tally-eps: default ε for eval requests
+    double tally_eps = election::kDefaultTallyEpsilon;  ///< --tally-eps: default ε for evals
     std::size_t deadline_ms = 0;             ///< --deadline-ms (0 = none)
     std::size_t write_timeout_ms = 5000;     ///< --write-timeout-ms (0 = block)
     std::optional<std::string> metrics_out;  ///< --metrics-out (flushed on drain)

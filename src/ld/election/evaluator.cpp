@@ -1,7 +1,6 @@
 #include "ld/election/evaluator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <thread>
 
@@ -10,8 +9,7 @@
 #include "ld/election/tally.hpp"
 #include "ld/election/workspace.hpp"
 #include "prob/normal.hpp"
-#include "prob/poisson_binomial.hpp"
-#include "prob/weighted_bernoulli_sum.hpp"
+#include "prob/truncated.hpp"
 #include "support/expect.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
@@ -22,16 +20,26 @@ namespace ld::election {
 using support::expects;
 
 double exact_direct_probability(const model::Instance& instance) {
-    return prob::direct_majority_probability(instance.competencies().values());
+    return exact_direct_probability_weighted(instance, {});
 }
 
 double exact_direct_probability_weighted(
     const model::Instance& instance, std::span<const std::uint64_t> initial_weights) {
-    if (initial_weights.empty()) return exact_direct_probability(instance);
-    expects(initial_weights.size() == instance.voter_count(),
+    expects(initial_weights.empty() ||
+                initial_weights.size() == instance.voter_count(),
             "exact_direct_probability_weighted: one weight per voter required");
-    prob::WeightedBernoulliSum dist(initial_weights, instance.competencies().values());
-    return dist.majority_probability();
+    std::span<const std::uint64_t> weights = initial_weights;
+    std::vector<std::uint64_t> unit;
+    if (weights.empty()) {
+        unit.assign(instance.voter_count(), 1);
+        weights = unit;
+    }
+    // The ε = 0 windowed DP: exact, and its window stops at the W/2
+    // threshold instead of spanning all W + 1 outcomes.
+    prob::ConvolveScratch scratch;
+    return prob::truncated_weighted_majority(weights, instance.competencies().values(), 0.0,
+                                             scratch)
+        .tail;
 }
 
 double approx_direct_probability(const model::Instance& instance,
@@ -70,6 +78,8 @@ void validate_options(const mech::Mechanism& mechanism, const model::Instance& i
                       const EvalOptions& options) {
     expects(options.replications > 0, "estimate: need at least one replication");
     expects(options.threads >= 1, "estimate: need at least one thread");
+    expects(options.tally_epsilon >= 0.0 && options.tally_epsilon < 1.0,
+            "estimate: tally_epsilon must lie in [0, 1)");
     expects(options.initial_weights.empty() ||
                 options.initial_weights.size() == instance.voter_count(),
             "estimate: initial_weights must be empty or one per voter");
@@ -130,13 +140,35 @@ void realize_with(const mech::Mechanism& mechanism, const model::Instance& insta
                              options.initial_weights, options.cycle_policy);
 }
 
-Estimate finish(const stats::RunningStats& acc, double confidence) {
+/// Certified per-sample tally error: each windowed P^M term is within
+/// ε/2 of the exact DP, so the sample mean is too (docs/STATISTICS.md §4).
+/// The normal route has no certified bound and reports none.
+double tally_error_bound(const EvalOptions& options) {
+    return options.approximate_tally ? 0.0 : options.tally_epsilon / 2.0;
+}
+
+/// `tally_error` widens the interval on both sides, so it covers the
+/// exact-tally mean as well as the sampling error.
+Estimate finish(const stats::RunningStats& acc, double confidence, double tally_error) {
     Estimate e;
     e.value = acc.mean();
     e.std_error = acc.standard_error();
     e.ci = stats::mean_interval(acc.mean(), acc.standard_error(), confidence);
+    e.ci.lo -= tally_error;
+    e.ci.hi += tally_error;
     e.replications = acc.count();
     return e;
+}
+
+/// P^M of one functional realization on the configured tally route: the
+/// normal approximation, or the windowed DP at `tally_epsilon` (exact at
+/// ε = 0).
+double tally_functional(const delegation::DelegationOutcome& outcome,
+                        const model::CompetencyVector& p, const EvalOptions& options,
+                        TallyScratch& scratch) {
+    return options.approximate_tally
+               ? approx_correct_probability(outcome, p, scratch)
+               : truncated_correct_probability(outcome, p, options.tally_epsilon, scratch);
 }
 
 /// Per-replication statistics accumulated by one worker.
@@ -156,74 +188,12 @@ struct ReplicationStats {
     }
 };
 
-/// Batched exact route: realize up to TallyBatch::kMaxLanes outcomes,
-/// stage their sink profiles, and advance all lanes' tally DPs in
-/// lockstep (prob/batch_tally) instead of K sequential DPs.  Only legal
-/// for mechanisms whose outcomes are always functional
-/// (!multi_delegation(): tallies consume no RNG, so realization order
-/// and the RNG stream match the sequential loop exactly) — and the
-/// batched tally is bit-identical per lane, so every accumulated number
-/// equals the sequential route bit for bit.
-ReplicationStats run_replications_batched(const mech::Mechanism& mechanism,
-                                          const model::Instance& instance,
-                                          rng::Rng& rng, const EvalOptions& options,
-                                          std::size_t count,
-                                          ReplicationWorkspace& ws) {
-    ReplicationStats acc;
-    const auto& p = instance.competencies();
-    TallyBatch& batch = ws.tally_batch;
-    // Realized per-lane stats, copied out because `ws.outcome` is reused
-    // by the next lane's realization.
-    struct LaneStats {
-        double delegators, max_weight, sinks, longest;
-    };
-    std::array<LaneStats, TallyBatch::kMaxLanes> lane_stats;
-    std::size_t done = 0;
-    while (done < count) {
-        const std::size_t lanes = std::min(TallyBatch::kMaxLanes, count - done);
-        batch.clear();
-        for (std::size_t k = 0; k < lanes; ++k) {
-            realize_with(mechanism, instance, rng, options, ws);
-            expects(ws.outcome.functional(),
-                    "estimate: batched tally requires functional outcomes");
-            stage_tally_lane(batch, ws.outcome, p);
-            const auto& st = ws.outcome.stats();
-            lane_stats[k] = {static_cast<double>(st.delegator_count),
-                             static_cast<double>(st.max_weight),
-                             static_cast<double>(st.voting_sink_count),
-                             static_cast<double>(st.longest_path)};
-        }
-        tally_staged(batch);
-        // Accumulate in replication order (Welford updates are
-        // order-dependent), exactly as the sequential loop would.
-        for (std::size_t k = 0; k < lanes; ++k) {
-            acc.max_weight.add(lane_stats[k].max_weight);
-            acc.sinks.add(lane_stats[k].sinks);
-            acc.longest.add(lane_stats[k].longest);
-            acc.pm.add(batch.result[k]);
-            acc.delegators.add(lane_stats[k].delegators);
-        }
-        done += lanes;
-    }
-    return acc;
-}
-
 /// Run `count` replications sequentially with the given generator,
 /// recycling the worker's workspace between replications.
 ReplicationStats run_replications(const mech::Mechanism& mechanism,
                                   const model::Instance& instance, rng::Rng& rng,
                                   const EvalOptions& options, std::size_t count,
                                   ReplicationWorkspace& ws) {
-    // The exact functional route batches: K replications per instruction
-    // stream through the SoA lockstep kernels.  Approximate/truncated
-    // tallies and multi-delegation inner sampling stay sequential (the
-    // latter interleaves RNG draws with realization, which batching
-    // would reorder); their convolutions still go through the dispatched
-    // SIMD kernels.
-    if (!mechanism.multi_delegation() && !options.approximate_tally &&
-        options.tally_epsilon == 0.0 && count > 1) {
-        return run_replications_batched(mechanism, instance, rng, options, count, ws);
-    }
     ReplicationStats acc;
     const auto& p = instance.competencies();
     for (std::size_t r = 0; r < count; ++r) {
@@ -231,14 +201,7 @@ ReplicationStats run_replications(const mech::Mechanism& mechanism,
         const auto& outcome = ws.outcome;
         double pm_r;
         if (outcome.functional()) {
-            if (options.approximate_tally) {
-                pm_r = approx_correct_probability(outcome, p, ws.tally);
-            } else if (options.tally_epsilon > 0.0) {
-                pm_r = truncated_correct_probability(outcome, p,
-                                                     options.tally_epsilon, ws.tally);
-            } else {
-                pm_r = exact_correct_probability(outcome, p, ws.tally);
-            }
+            pm_r = tally_functional(outcome, p, options, ws.tally);
             const auto& st = outcome.stats();
             acc.max_weight.add(static_cast<double>(st.max_weight));
             acc.sinks.add(static_cast<double>(st.voting_sink_count));
@@ -362,10 +325,7 @@ struct CertSample {
 };
 
 /// Run certified replications for indices [first, first + count), each
-/// from its own derived RNG, writing results into out[0..count).  The
-/// exact functional route still batches through the SoA tally kernels —
-/// legal here because each lane's realization consumes only its own
-/// per-index stream, so lane order cannot leak into the samples.
+/// from its own derived RNG, writing results into out[0..count).
 void run_certified_chunk(const mech::Mechanism& mechanism,
                          const model::Instance& instance, const EvalOptions& options,
                          std::uint64_t master, std::size_t first, std::size_t count,
@@ -378,37 +338,13 @@ void run_certified_chunk(const mech::Mechanism& mechanism,
         s.longest = static_cast<double>(st.longest_path);
         s.functional = functional;
     };
-    if (!mechanism.multi_delegation() && !options.approximate_tally &&
-        options.tally_epsilon == 0.0 && count > 1) {
-        TallyBatch& batch = ws.tally_batch;
-        std::size_t done = 0;
-        while (done < count) {
-            const std::size_t lanes = std::min(TallyBatch::kMaxLanes, count - done);
-            batch.clear();
-            for (std::size_t k = 0; k < lanes; ++k) {
-                rng::Rng rep_rng(certified_replication_seed(master, first + done + k));
-                realize_with(mechanism, instance, rep_rng, options, ws);
-                expects(ws.outcome.functional(),
-                        "estimate: batched tally requires functional outcomes");
-                stage_tally_lane(batch, ws.outcome, p);
-                record_shape(out[done + k], ws.outcome.stats(), true);
-            }
-            tally_staged(batch);
-            for (std::size_t k = 0; k < lanes; ++k) out[done + k].pm = batch.result[k];
-            done += lanes;
-        }
-        return;
-    }
     for (std::size_t r = 0; r < count; ++r) {
         rng::Rng rep_rng(certified_replication_seed(master, first + r));
         realize_with(mechanism, instance, rep_rng, options, ws);
         const auto& outcome = ws.outcome;
         CertSample& s = out[r];
         if (outcome.functional()) {
-            s.pm = options.tally_epsilon > 0.0
-                       ? truncated_correct_probability(outcome, p,
-                                                       options.tally_epsilon, ws.tally)
-                       : exact_correct_probability(outcome, p, ws.tally);
+            s.pm = tally_functional(outcome, p, options, ws.tally);
             record_shape(s, outcome.stats(), true);
         } else {
             ws.topo_order = outcome.as_digraph().topological_order();
@@ -463,10 +399,10 @@ CertifiedRun run_certified_replications(const mech::Mechanism& mechanism,
     const std::uint64_t master = rng.next();
     const std::size_t cap = options.max_replications;
     const std::size_t batch = std::min(options.adaptive_batch, cap);
-    // Each truncated-tally sample is within ε/2 of its exact value, so the
+    // Each windowed-tally sample is within ε/2 of its exact value, so the
     // sample mean is within ε/2 of the exact-tally sample mean; widening
-    // the statistical interval by ε/2 per side covers it (exact DP: 0).
-    const double num_err = options.tally_epsilon / 2.0;
+    // the statistical interval by ε/2 per side covers it (ε = 0: exact).
+    const double num_err = tally_error_bound(options);
 
     stats::ConfidenceSequence cs(spec.boundary, spec.delta);
     CertifiedRun run;
@@ -627,12 +563,12 @@ Estimate estimate_correct_probability(const mech::Mechanism& mechanism,
         const auto run = run_certified_replications(mechanism, instance, rng,
                                                     options, options.certify.gamma);
         timer.set_replications(run.certificate.replications);
-        Estimate e = finish(run.stats.pm, options.confidence);
+        Estimate e = finish(run.stats.pm, options.confidence, tally_error_bound(options));
         e.certified = run.certificate;
         return e;
     }
     const auto acc = run_all_replications(mechanism, instance, rng, options);
-    return finish(acc.pm, options.confidence);
+    return finish(acc.pm, options.confidence, tally_error_bound(options));
 }
 
 Estimate estimate_correct_probability_naive(const mech::Mechanism& mechanism,
@@ -647,7 +583,7 @@ Estimate estimate_correct_probability_naive(const mech::Mechanism& mechanism,
         realize_with(mechanism, instance, rng, options, ws);
         acc.add(sample_outcome_correct(ws.outcome, p, rng) ? 1.0 : 0.0);
     }
-    return finish(acc, options.confidence);
+    return finish(acc, options.confidence, 0.0);  // votes sampled, no tally
 }
 
 GainReport estimate_gain(const mech::Mechanism& mechanism,
@@ -668,13 +604,13 @@ GainReport estimate_gain(const mech::Mechanism& mechanism,
                                                     report.pd + options.certify.gamma);
         timer.set_replications(run.certificate.replications);
         acc = run.stats;
-        report.pm = finish(acc.pm, options.confidence);
+        report.pm = finish(acc.pm, options.confidence, tally_error_bound(options));
         report.pm.certified = run.certificate;
         report.certified_gain = stats::Interval{run.certificate.lo - report.pd,
                                                 run.certificate.hi - report.pd};
     } else {
         acc = run_all_replications(mechanism, instance, rng, options);
-        report.pm = finish(acc.pm, options.confidence);
+        report.pm = finish(acc.pm, options.confidence, tally_error_bound(options));
     }
     report.gain = report.pm.value - report.pd;
     report.gain_ci = {report.pm.ci.lo - report.pd, report.pm.ci.hi - report.pd};

@@ -25,6 +25,7 @@
 #include <optional>
 
 #include "ld/delegation/delegation_graph.hpp"
+#include "ld/election/tally.hpp"
 #include "ld/mech/mechanism.hpp"
 #include "ld/model/instance.hpp"
 #include "rng/rng.hpp"
@@ -80,12 +81,12 @@ struct EvalOptions {
     /// unreachable, e.g. a zero-variance mechanism needs 2 but a noisy
     /// one may never hit 1e-6).
     std::size_t max_replications = 100'000;
-    /// ε for the certified truncated inner tally
-    /// (`truncated_correct_probability`): each per-realization P^M term
-    /// is within ε/2 of the exact DP, at ~O(#sinks·σ_W) instead of
-    /// O(#sinks·W) cost.  0 = exact DP.  Ignored when
+    /// ε of the windowed inner tally (`truncated_correct_probability`):
+    /// each per-realization P^M term is within a certified ε/2 of the
+    /// exact DP, and every reported interval is widened by ε/2 per side
+    /// (docs/STATISTICS.md §4).  0 = exact.  Ignored when
     /// `approximate_tally` is set (the normal route is cheaper still).
-    double tally_epsilon = 0.0;
+    double tally_epsilon = kDefaultTallyEpsilon;
     /// Vote-propagation samples per realization for multi-delegation
     /// outcomes (functional outcomes use the exact inner step instead).
     std::size_t inner_samples = 8;
@@ -164,17 +165,18 @@ struct VarianceReport {
     double mean_conditional_mean = 0.0;  ///< E[S] under the mechanism
 };
 
-/// Exact P^D(G) — Poisson-binomial strict-majority probability.
+/// Exact P^D(G) — Poisson-binomial strict-majority probability, by the
+/// ε = 0 windowed DP.
 double exact_direct_probability(const model::Instance& instance);
 
 /// Exact P^D(G) under per-voter initial weights (weighted Poisson-binomial
-/// strict majority); `initial_weights` empty falls back to the unweighted
-/// case.
+/// strict majority, ε = 0 windowed DP); `initial_weights` empty falls back
+/// to the unweighted case.
 double exact_direct_probability_weighted(
     const model::Instance& instance, std::span<const std::uint64_t> initial_weights);
 
 /// Lemma-4 normal approximation of P^D(G) (O(n) instead of the exact
-/// O(n²) DP); used by the evaluator when `approximate_tally` is set.
+/// DP); used by the evaluator when `approximate_tally` is set.
 double approx_direct_probability(const model::Instance& instance,
                                  std::span<const std::uint64_t> initial_weights = {});
 

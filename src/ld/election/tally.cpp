@@ -6,7 +6,6 @@
 
 #include "prob/normal.hpp"
 #include "prob/truncated.hpp"
-#include "prob/weighted_bernoulli_sum.hpp"
 #include "support/expect.hpp"
 #include "support/metrics.hpp"
 
@@ -109,34 +108,10 @@ double exact_correct_probability(const DelegationOutcome& outcome,
     return exact_correct_probability(outcome, p, scratch);
 }
 
-void stage_tally_lane(TallyBatch& batch, const DelegationOutcome& outcome,
-                      const model::CompetencyVector& p) {
-    expects(batch.lanes < TallyBatch::kMaxLanes, "tally batch: no free lane");
-    expects(outcome.voter_count() == p.size(), "tally: size mismatch");
-    sink_profile_into(outcome, p, batch.weights[batch.lanes],
-                      batch.probs[batch.lanes]);
-    ++batch.lanes;
-}
-
-void tally_staged(TallyBatch& batch) {
-    if (batch.lanes == 0) return;
-    std::array<prob::BatchTallyLane, TallyBatch::kMaxLanes> lanes;
-    for (std::size_t k = 0; k < batch.lanes; ++k) {
-        lanes[k] = {batch.weights[k], batch.probs[k]};
-    }
-    prob::batch_weighted_majority(
-        std::span<const prob::BatchTallyLane>(lanes.data(), batch.lanes),
-        batch.result, batch.scratch);
-}
-
 double exact_correct_probability(const DelegationOutcome& outcome,
                                  const model::CompetencyVector& p,
                                  TallyScratch& scratch) {
-    expects(outcome.voter_count() == p.size(), "tally: size mismatch");
-    sink_profile_into(outcome, p, scratch.sink_weights, scratch.sink_probs);
-    if (scratch.sink_weights.empty()) return 0.0;  // nobody voted
-    return prob::weighted_majority_probability(scratch.sink_weights,
-                                               scratch.sink_probs, scratch.dp);
+    return truncated_correct_probability(outcome, p, 0.0, scratch);
 }
 
 double truncated_correct_probability(const DelegationOutcome& outcome,
@@ -167,12 +142,13 @@ double approx_correct_probability(const DelegationOutcome& outcome,
     expects(outcome.voter_count() == p.size(), "tally: size mismatch");
     sink_profile_into(outcome, p, scratch.sink_weights, scratch.sink_probs);
     if (scratch.sink_weights.empty()) return 0.0;
-    // The CLT needs many sinks; with few, the exact DP is cheap anyway
-    // (O(#sinks · W)) and avoids an O(1) bias (e.g. a dictator sink is a
-    // single Bernoulli, not a normal).
+    // The CLT needs many sinks; with few, the exact windowed DP is cheap
+    // anyway and avoids an O(1) bias (e.g. a dictator sink is a single
+    // Bernoulli, not a normal).
     if (scratch.sink_weights.size() <= 64) {
-        return prob::weighted_majority_probability(scratch.sink_weights,
-                                                   scratch.sink_probs, scratch.dp);
+        return prob::truncated_weighted_majority(scratch.sink_weights,
+                                                 scratch.sink_probs, 0.0, scratch.dp)
+            .tail;
     }
     return approx_majority_from_profile(scratch.sink_weights, scratch.sink_probs);
 }

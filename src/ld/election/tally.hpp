@@ -2,28 +2,38 @@
 // Decision"): sinks vote independently with their competencies, the
 // decision is the weighted majority, ties lose (strict majority required).
 //
-// Two routes are provided:
-//  * exact  — the correct-decision probability conditioned on the realized
-//             delegation graph, via the weighted Poisson-binomial DP
-//             (removes one layer of Monte-Carlo noise);
-//  * sample — draw one realization of all votes; also the only route for
-//             the §6 multi-delegation extension, where a voter's effective
-//             vote is the majority of its delegates' realized votes.
+// Routes:
+//  * windowed — the correct-decision probability conditioned on the
+//               realized delegation graph, via the windowed weighted
+//               Poisson-binomial DP (`prob::truncated_weighted_majority`):
+//               certified within ε/2 at ε > 0 (the default is
+//               `kDefaultTallyEpsilon`), exact at ε = 0.  Removes one layer
+//               of Monte-Carlo noise;
+//  * normal   — the Lemma-4 normal approximation, for very large n;
+//  * sample   — draw one realization of all votes; also the only route for
+//               the §6 multi-delegation extension, where a voter's effective
+//               vote is the majority of its delegates' realized votes.
 
 #pragma once
 
-#include <array>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "ld/delegation/delegation_graph.hpp"
 #include "ld/model/competency.hpp"
-#include "prob/batch_tally.hpp"
 #include "prob/convolve.hpp"
 #include "rng/rng.hpp"
 
 namespace ld::election {
+
+/// Default ε of the windowed tally on the eval path (`EvalOptions`, the
+/// `run`/`serve` CLIs, `ServerConfig`, `RouterConfig`, sweep specs).  Each
+/// per-realization P^M term is then within a certified 5e-13 of the exact
+/// DP — far below Monte-Carlo noise — while the window shrinks to the
+/// O(σ_W) band around W/2 where the paper's Lemma 3/4 puts the mass.
+/// ε = 0 selects the exact windowed route.
+inline constexpr double kDefaultTallyEpsilon = 1e-12;
 
 /// Reusable buffers for the inner tally — the sink profile, the
 /// weighted-Bernoulli DP table, and the vote-propagation state of the
@@ -36,35 +46,8 @@ struct TallyScratch {
     std::vector<std::optional<bool>> votes;
 };
 
-/// Staging area for batched exact tallies: up to kMaxLanes realized
-/// sink profiles, copied out of the (per-replication reused) outcome so
-/// all lanes coexist, plus the lockstep DP scratch.  One per replication
-/// worker, owned by its ReplicationWorkspace.
-struct TallyBatch {
-    static constexpr std::size_t kMaxLanes = prob::kBatchTallyLanes;
-    std::array<std::vector<std::uint64_t>, kMaxLanes> weights;
-    std::array<std::vector<double>, kMaxLanes> probs;
-    std::array<double, kMaxLanes> result{};  ///< filled by tally_staged
-    prob::BatchTallyScratch scratch;
-    std::size_t lanes = 0;  ///< staged lane count
-
-    void clear() noexcept { lanes = 0; }
-};
-
-/// Copy the realized outcome's sink profile into the next free lane of
-/// `batch`.  Requires a functional outcome and batch.lanes < kMaxLanes.
-void stage_tally_lane(TallyBatch& batch,
-                      const delegation::DelegationOutcome& outcome,
-                      const model::CompetencyVector& p);
-
-/// Tally every staged lane in SoA lockstep (prob::batch_weighted_majority)
-/// and write `batch.result[k]` for k < batch.lanes, in staging order.
-/// Each result is bit-identical to `exact_correct_probability` on the
-/// outcome that was staged into lane k — on every kernel tier and for
-/// every batch size.
-void tally_staged(TallyBatch& batch);
-
-/// Exact P[weighted majority correct | realized delegation graph].
+/// Exact P[weighted majority correct | realized delegation graph]: the
+/// ε = 0 call of the windowed DP (`truncated_correct_probability`).
 /// Requires a functional outcome.  If no votes are cast at all (everyone
 /// abstained), the decision cannot be correct and the result is 0.
 double exact_correct_probability(const delegation::DelegationOutcome& outcome,
@@ -75,12 +58,12 @@ double exact_correct_probability(const delegation::DelegationOutcome& outcome,
                                  const model::CompetencyVector& p,
                                  TallyScratch& scratch);
 
-/// ε-truncated variant of `exact_correct_probability`: the windowed DP of
+/// The eval path's tally: the windowed DP of
 /// `prob::truncated_weighted_majority`, whose result is within a
-/// *certified* ε/2 of the exact tally.  Cost drops from O(#sinks·W) to
-/// ~O(#sinks·σ_W) because the live window hugs the threshold.  Records
-/// the peak window width in the `tally.window_width` gauge.  ε = 0 keeps
-/// the windowed fast path with zero error.
+/// *certified* ε/2 of the exact tally.  Cost is ~O(#sinks·σ_W) instead of
+/// the full-width O(#sinks·W) because the live window hugs the threshold.
+/// Records the peak window width in the `tally.window_width` gauge.
+/// ε = 0 keeps the windowed fast path with zero error.
 double truncated_correct_probability(const delegation::DelegationOutcome& outcome,
                                      const model::CompetencyVector& p,
                                      double epsilon, TallyScratch& scratch);
@@ -88,9 +71,9 @@ double truncated_correct_probability(const delegation::DelegationOutcome& outcom
 /// Normal approximation of `exact_correct_probability`: P[S > W/2] for
 /// S ~ N(Σ w_i p_i, Σ w_i² p_i(1−p_i)) with continuity correction.
 /// Justified by the paper's Lemma 4 (CLT for the vote sum); error is
-/// O(1/√#sinks) (Berry–Esseen), so use it when the exact O(#sinks·W) DP is
-/// too expensive (W beyond ~10⁴).  Degenerate cases (no votes cast, zero
-/// variance) are handled exactly.
+/// O(1/√#sinks) (Berry–Esseen), so use it when even the windowed DP is
+/// too expensive (very large W).  Profiles of ≤ 64 sinks, and the
+/// degenerate cases (no votes cast, zero variance), are tallied exactly.
 double approx_correct_probability(const delegation::DelegationOutcome& outcome,
                                   const model::CompetencyVector& p);
 

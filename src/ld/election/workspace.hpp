@@ -25,9 +25,6 @@ struct ReplicationWorkspace {
     delegation::DelegationOutcome::ResolveScratch resolve;
     /// Inner-tally buffers (sink profile, DP table, sampled votes).
     TallyScratch tally;
-    /// Staged sink profiles + lockstep DP for the batched exact route
-    /// (K replications advanced per instruction stream).
-    TallyBatch tally_batch;
     /// Reverse-topological order of the current realization — computed
     /// once per replication for multi-delegation outcomes and shared by
     /// all inner samples.

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "ld/election/tally.hpp"
 #include "support/json.hpp"
 #include "support/table_printer.hpp"  // for Cell
 
@@ -60,8 +61,8 @@ struct SweepSpec {
                                             ///< (0 = fixed replication count)
     std::size_t adaptive_batch = 64;        ///< options.adaptive_batch
     std::size_t max_replications = 100'000; ///< options.max_reps: adaptive ceiling
-    double tally_epsilon = 0.0;             ///< options.tally_eps: certified
-                                            ///< ε-truncated tally (0 = exact)
+    double tally_epsilon = election::kDefaultTallyEpsilon;  ///< options.tally_eps:
+                                            ///< certified windowed tally (0 = exact)
     double certify_gamma = 0.0;             ///< options.certify_gamma: gain threshold
     double certify_delta = 0.0;             ///< options.certify_delta: error budget
                                             ///< (> 0 enables certified stopping)

@@ -281,6 +281,9 @@ json::Object Router::do_eval(const json::Value& params) {
     result.merge(fields);
     result.emplace("threads", json::Value(static_cast<double>(eval.threads)));
     result.emplace("seed", json::Value(static_cast<double>(seed)));
+    // The tally route that produced pm: ε > 0 certified (gain CI widened
+    // by ε/2), 0 exact; ignored under "approximate".
+    result.emplace("tally_eps", json::Value(eval.tally_epsilon));
     support::MetricsRegistry::global().counter("serve.evals").add(1);
     return result;
 }

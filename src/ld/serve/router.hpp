@@ -16,6 +16,7 @@
 #include <functional>
 #include <string>
 
+#include "ld/election/tally.hpp"
 #include "ld/serve/instance_cache.hpp"
 #include "ld/serve/live_state.hpp"
 #include "ld/serve/protocol.hpp"
@@ -38,9 +39,9 @@ struct RouterConfig {
     /// should get an error, not a day-long eval hogging the dispatcher).
     /// Also clamps the adaptive-mode ceiling (`max_replications` param).
     std::size_t max_replications = 1'000'000;
-    /// Default ε for the certified truncated inner tally when an eval
-    /// request names no `tally_eps` (0 = exact DP).
-    double default_tally_epsilon = 0.0;
+    /// Default ε for the certified windowed inner tally when an eval
+    /// request names no `tally_eps` (0 = exact).
+    double default_tally_epsilon = election::kDefaultTallyEpsilon;
     /// Default ε for the live product trees a first `instance.patch` /
     /// `instance.state` creates (when the request names no `tally_eps`).
     /// Unlike evals this is NOT 0: exact windows cost O(n) per patched

@@ -70,9 +70,9 @@ struct ServerConfig {
     std::size_t eval_threads = 0;
     /// Per-request replication sanity cap.
     std::size_t max_replications = 1'000'000;
-    /// Default ε for the certified truncated inner tally applied to eval
-    /// requests that name no `tally_eps` (0 = exact DP).
-    double tally_epsilon = 0.0;
+    /// Default ε for the certified windowed inner tally applied to eval
+    /// requests that name no `tally_eps` (0 = exact).
+    double tally_epsilon = election::kDefaultTallyEpsilon;
     /// Default per-request deadline applied when a request carries no
     /// deadline_ms (0 = none).
     std::chrono::milliseconds default_deadline{0};

@@ -12,22 +12,22 @@
 // specializations (`prob/convolve_simd.cpp`), selected once at runtime
 // from CPU features (`support/cpu_features`) or pinned via `--simd` /
 // LIQUIDD_SIMD.  Every tier evaluates the *same* mul/mul/add expression
-// per element — no FMA contraction anywhere — so all tiers, and the
-// batched lockstep kernels built from them, are bit-identical to the
-// scalar loop.  The tier choice is a pure performance/attribution knob;
-// determinism contracts and the certified ε accounting of the truncated
-// kernels are unaffected.
+// per element — no FMA contraction anywhere — so all tiers are
+// bit-identical to the scalar loop.  The tier choice is a pure
+// performance/attribution knob; determinism contracts and the certified
+// ε accounting of the truncated kernels are unaffected.
 //
-// Shared by the exact kernels (`PoissonBinomial`,
-// `WeightedBernoulliSum`), the windowed ε-truncated kernels
-// (`prob/truncated.hpp`), and the batched SoA tally
-// (`prob/batch_tally.hpp`).
+// The same tier table carries the dense window axpy of the incremental
+// tally's product tree (`prob/factor_tree.hpp`), under the same rule.
+//
+// Shared by the windowed tally kernels (`prob/truncated.hpp`, the eval
+// path), the full-width oracles (`PoissonBinomial`,
+// `WeightedBernoulliSum`, kept for tests), and the product tree.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "support/cpu_features.hpp"
@@ -69,59 +69,19 @@ inline void convolve_two_point_scalar(const double* __restrict in,
 using ConvolveFn = void (*)(const double* __restrict in, double* __restrict out,
                             std::size_t n, std::size_t w, double p);
 
-/// Number of interleaved pmf lanes advanced per batched step.  Fixed at
-/// compile time so element (s, k) lives at `[s * kBatchLanes + k]` and one
-/// AVX-512 vector (or two AVX2 vectors) covers a full row.
-inline constexpr std::size_t kBatchLanes = 8;
-
-/// One lockstep convolution step over kBatchLanes interleaved pmfs.
-/// Lane k convolves its current pmf `in[· * kBatchLanes + k]` of width
-/// n[k] with {0 ↦ 1−p[k], w[k] ↦ p[k]}, writing rows [0, smax).  A lane
-/// with w[k] == 0 performs an identity copy of its live entries (used to
-/// idle lanes that ran out of terms).  `smax` must cover every lane's
-/// output width (max over k of n[k] + w[k]).
-using BatchStepFn = void (*)(const double* __restrict in, double* __restrict out,
-                             std::size_t smax, const std::int64_t* n,
-                             const std::int64_t* w, const double* p);
-
-/// Reference batched step: per-lane scalar region loops with the exact
-/// arithmetic of `convolve_two_point_scalar` at stride kBatchLanes.
-void batch_step_scalar(const double* __restrict in, double* __restrict out,
-                       std::size_t smax, const std::int64_t* n,
-                       const std::int64_t* w, const double* p);
-
-/// Active batched-step kernel for the current tier.
-BatchStepFn batch_step_kernel();
-
-/// Upper bound on the number of consecutive unit-weight steps a fused
-/// pass advances at once (bounded by how many carried row registers fit;
-/// tiers with fewer vector registers fuse shallower — see
-/// `batch_fused_depth`).
-inline constexpr std::size_t kMaxFusedSteps = 8;
-
-/// Fused run of `steps` ∈ [1, kMaxFusedSteps] consecutive batched
-/// convolution steps where every lane has the same width `n0` and every
-/// step convolves every lane with a unit-weight term (w = 1).
-/// `p[f * kBatchLanes + k]` is lane k's probability at fused step f.
-/// Writes rows [0, n0 + steps).  The DP ping-pongs once for the whole
-/// run — one read and one write per row per `steps` convolution steps,
-/// which is what makes the batched tally compute-bound instead of
-/// L2-bandwidth-bound.  Each intermediate level evaluates the exact
-/// mul/mul/add of the scalar reference (terms outside a level's width
-/// contribute exactly +0.0), so fused results stay bit-identical.
-using BatchFusedFn = void (*)(const double* __restrict in, double* __restrict out,
-                              std::size_t n0, std::size_t steps, const double* p);
-
-/// Active fused unit-weight kernel for the current tier.
-BatchFusedFn batch_fused_kernel();
-
-/// Deepest fused run the active tier supports (≤ kMaxFusedSteps).
-std::size_t batch_fused_depth();
+/// Dense axpy `dst[i] += f·src[i]` for i ∈ [0, n): one multiply and one
+/// add per element, in that order, on every tier.
+using AxpyFn = void (*)(double* __restrict dst, const double* __restrict src,
+                        std::size_t n, double f);
 
 /// Active single-pmf kernel for the current tier.  DP drivers hoist this
 /// out of their step loops so the per-step cost is one indirect call,
 /// not a dispatch lookup per convolution.
 ConvolveFn convolve_kernel();
+
+/// Active axpy kernel for the current tier (hoisted like
+/// `convolve_kernel`).
+AxpyFn axpy_kernel();
 
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "prob/convolve.hpp"
 #include "support/expect.hpp"
 
 namespace ld::prob {
@@ -144,15 +145,16 @@ void FactorTree::combine(std::size_t node) {
     const std::size_t width = a.mass.size() + b.mass.size() - 1;
     scratch_.assign(width, 0.0);
     // Dense window convolution; iterate the smaller factor on the outside
-    // so the inner loop is a long contiguous axpy the compiler vectorises.
+    // so the inner loop is one long contiguous axpy from the kernel tier
+    // table (prob/convolve.hpp) — its speed then depends on the tier, not
+    // on where the compiler happened to place a loop.
     const FactorWindow& outer = a.mass.size() <= b.mass.size() ? a : b;
     const FactorWindow& inner = a.mass.size() <= b.mass.size() ? b : a;
+    const detail::AxpyFn axpy = detail::axpy_kernel();
     for (std::size_t j = 0; j < outer.mass.size(); ++j) {
         const double f = outer.mass[j];
         if (f == 0.0) continue;
-        double* __restrict dst = scratch_.data() + j;
-        const double* __restrict src = inner.mass.data();
-        for (std::size_t i = 0; i < inner.mass.size(); ++i) dst[i] += f * src[i];
+        axpy(scratch_.data() + j, inner.mass.data(), inner.mass.size(), f);
     }
     // Clip: trim tail entries (leading and trailing) while the total mass
     // dropped at this node stays within its budget; exact zeros are free.

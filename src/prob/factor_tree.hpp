@@ -22,10 +22,12 @@
 // its dropped mass rather than accumulating it.  ε = 0 keeps every node
 // exact (identical support to the full DP).
 //
-// Determinism: plain double loops, no SIMD dispatch — results are
-// bit-identical across kernel tiers and across any update order that
-// produces the same leaf state *per node shape*; tests compare against the
-// tier-dispatched reference tally within error_bound().
+// Determinism: the window axpy runs on the dispatched kernel tier
+// (`prob/convolve.hpp`), whose tiers all round one multiply and one add
+// per element — results are bit-identical across kernel tiers and across
+// any update order that produces the same leaf state *per node shape*;
+// tests compare against the tier-dispatched reference tally within
+// error_bound().
 
 #pragma once
 

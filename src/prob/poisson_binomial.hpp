@@ -1,7 +1,8 @@
 // Poisson-binomial distribution: the law of a sum of independent Bernoulli
 // variables with heterogeneous success probabilities.  This is exactly the
-// law of the number of correct votes under *direct voting* (paper §2.1), so
-// `P^D(G)` is computed exactly here instead of by Monte-Carlo.
+// law of the number of correct votes under *direct voting* (paper §2.1).
+// This full-width DP is the test oracle; the eval path computes `P^D(G)`
+// with the ε = 0 windowed kernel (`prob/truncated.hpp`).
 
 #pragma once
 

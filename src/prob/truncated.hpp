@@ -1,10 +1,10 @@
 // Windowed ε-truncated Poisson-binomial kernels.
 //
-// The exact DP (`PoissonBinomial`, `WeightedBernoulliSum`) carries the
-// full pmf over {0, …, W} through every convolution step — O(#terms·W)
-// work — even though, by Chernoff/Bernstein tails (`prob/bounds.hpp`),
-// only an O(σ·√log(1/ε)) window around the running mean holds mass
-// above ε.  These kernels track a live support window `[lo, hi]` during
+// The full-width DP (`PoissonBinomial`, `WeightedBernoulliSum`, now the
+// test oracles) carries the full pmf over {0, …, W} through every
+// convolution step — O(#terms·W) work — even though, by
+// Chernoff/Bernstein tails (`prob/bounds.hpp`), only an O(σ·√log(1/ε))
+// window around the running mean holds mass above ε.  These kernels track a live support window `[lo, hi]` during
 // the same two-point convolution (`prob/convolve.hpp`), drop edge
 // entries once their cumulative mass fits inside a configurable budget
 // ε, and return a *certified* error bound alongside every tail query:
@@ -95,9 +95,10 @@ struct TruncatedTally {
     std::uint64_t total_weight = 0;
 };
 
-/// ε-truncated replacement for `weighted_majority_probability`: the
-/// probability that Σ w_i · Bernoulli(p_i) strictly exceeds W/2, within
-/// a certified error of ε/2, in ~O(#terms · window) time.  Buffers come
+/// The eval path's weighted-majority tally (the windowed replacement for
+/// `weighted_majority_probability`): the probability that
+/// Σ w_i · Bernoulli(p_i) strictly exceeds W/2, within a certified error
+/// of ε/2, in ~O(#terms · window) time.  Buffers come
 /// from `scratch` — the zero-allocation inner step of the replication
 /// loop.  ε = 0 keeps the threshold-retirement fast path but performs
 /// no lossy truncation (error_bound == 0, result exact).

@@ -3,7 +3,9 @@
 // *votes* after delegation: each sink v_i holds w_i accumulated votes and
 // contributes w_i correct votes with probability p_i (paper §2.2, the
 // weighted-majority tally).  Computing P[Σ w_i x_i > W/2] exactly removes
-// one layer of Monte-Carlo noise from every gain estimate.
+// one layer of Monte-Carlo noise from every gain estimate.  This full-width
+// DP is the test oracle; the eval path tallies with the windowed kernel
+// (`prob/truncated.hpp`), exact at ε = 0.
 
 #pragma once
 

@@ -9,6 +9,18 @@
 
 namespace ld::support {
 
+namespace {
+
+/// Terminal columns of a UTF-8 cell: one per code point (labels such as
+/// "tally ε" would otherwise pad one column short).
+std::size_t display_width(const std::string& text) {
+    return static_cast<std::size_t>(std::count_if(text.begin(), text.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+    }));
+}
+
+}  // namespace
+
 TablePrinter::TablePrinter(std::vector<std::string> headers, int precision)
     : headers_(std::move(headers)), precision_(precision) {
     expects(!headers_.empty(), "table must have at least one column");
@@ -34,7 +46,7 @@ std::string TablePrinter::format_cell(const Cell& cell) const {
 
 void TablePrinter::print(std::ostream& os) const {
     std::vector<std::size_t> widths(headers_.size());
-    for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+    for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = display_width(headers_[c]);
     std::vector<std::vector<std::string>> rendered;
     rendered.reserve(rows_.size());
     for (const auto& row : rows_) {
@@ -42,13 +54,14 @@ void TablePrinter::print(std::ostream& os) const {
         r.reserve(row.size());
         for (std::size_t c = 0; c < row.size(); ++c) {
             r.push_back(format_cell(row[c]));
-            widths[c] = std::max(widths[c], r.back().size());
+            widths[c] = std::max(widths[c], display_width(r.back()));
         }
         rendered.push_back(std::move(r));
     }
     const auto emit_row = [&](const std::vector<std::string>& cells) {
         for (std::size_t c = 0; c < cells.size(); ++c) {
-            os << (c == 0 ? "| " : " | ") << std::setw(static_cast<int>(widths[c])) << cells[c];
+            os << (c == 0 ? "| " : " | ") << std::string(widths[c] - display_width(cells[c]), ' ')
+               << cells[c];
         }
         os << " |\n";
     };

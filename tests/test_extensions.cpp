@@ -71,6 +71,7 @@ TEST(TokenWeights, EvaluatorThreadsWeightsThrough) {
     election::EvalOptions opts;
     opts.replications = 20;
     opts.initial_weights = {3, 1, 1, 1, 1, 1};
+    opts.tally_epsilon = 0.0;  // equality with the exact P^D
     const mech::DirectVoting direct;
     const auto report = election::estimate_gain(direct, inst, rng, opts);
     EXPECT_NEAR(report.gain, 0.0, 1e-10);
@@ -179,6 +180,7 @@ TEST(Distributional, DirectVotingHasZeroExpectedGain) {
     };
     election::EvalOptions opts;
     opts.replications = 5;
+    opts.tally_epsilon = 0.0;  // equality with the exact P^D
     const auto report = election::estimate_gain_over_distribution(
         direct, graph, 0.05, sampler, rng, 20, opts);
     EXPECT_NEAR(report.gain.value, 0.0, 1e-10);

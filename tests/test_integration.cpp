@@ -31,6 +31,7 @@ TEST(Figure1, StarLossApproachesOneQuarter) {
     const mech::BestNeighbour m;
     election::EvalOptions opts;
     opts.replications = 8;  // the delegation graph is deterministic here
+    opts.tally_epsilon = 0.0;  // equality with the exact dictator value
     const auto report = election::estimate_gain(m, inst, rng, opts);
     EXPECT_GT(report.pd, 0.9);             // Condorcet: leaves alone win
     EXPECT_NEAR(report.pm.value, 0.75, 1e-9);  // dictator centre

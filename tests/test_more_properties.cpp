@@ -160,6 +160,7 @@ TEST(GainShape, DelegationNeverHelpsWhenEveryoneIsEqual) {
         mech::CompleteGraphThreshold::with_log_threshold();
     ld::election::EvalOptions opts;
     opts.replications = 10;
+    opts.tally_epsilon = 0.0;  // equality with the exact P^D
     const auto report = ld::election::estimate_gain(m, inst, rng, opts);
     EXPECT_EQ(report.mean_delegators, 0.0);
     EXPECT_NEAR(report.gain, 0.0, 1e-12);

@@ -155,6 +155,7 @@ TEST_P(MechanismTopologyGrid, GainIsBoundedAndDirectIsNeutral) {
 
     ld::election::EvalOptions opts;
     opts.replications = 20;
+    opts.tally_epsilon = 0.0;  // direct voting must equal the exact P^D
     const auto report = ld::election::estimate_gain(*mechanism, inst, rng, opts);
     EXPECT_GE(report.gain, -1.0);
     EXPECT_LE(report.gain, 1.0);

@@ -172,6 +172,7 @@ TEST(Evaluator, DirectVotingGainIsExactlyZeroUpToFp) {
     const mech::DirectVoting direct;
     ld::election::EvalOptions opts;
     opts.replications = 10;
+    opts.tally_epsilon = 0.0;  // equality with the exact P^D
     const auto report = ld::election::estimate_gain(direct, inst, rng, opts);
     EXPECT_NEAR(report.gain, 0.0, 1e-10);
     EXPECT_NEAR(report.pm.std_error, 0.0, 1e-12);

@@ -187,6 +187,64 @@ TEST(TruncatedTallyRoute, MatchesExactTallyOnElectionOutcomes) {
     }
 }
 
+TEST(TruncatedTallyRoute, DefaultEpsilonAgreesWithExactRouteUnderEveryStopRule) {
+    // The default route (ε = kDefaultTallyEpsilon) against the exact one
+    // (ε = 0) on the same seed: P^M within the certified ε/2, and the
+    // replication count and shape statistics identical — the tally draws
+    // nothing from the RNG, so both runs realize the same delegation graphs.
+    const auto inst = [&] {
+        ld::rng::Rng build(9);
+        return ld::experiments::complete_pc_instance(build, 151, 0.05, 0.02, 0.3);
+    }();
+    const ld::mech::ApprovalSizeThreshold mech(1);
+    const double eps = ld::election::kDefaultTallyEpsilon;
+    ld::election::EvalOptions fixed;
+    fixed.replications = 96;
+    ld::election::EvalOptions adaptive;
+    adaptive.target_std_error = 2e-3;
+    adaptive.adaptive_batch = 32;
+    adaptive.max_replications = 2000;
+    ld::election::EvalOptions certified;
+    certified.certify.delta = 0.05;
+    certified.adaptive_batch = 32;
+    certified.max_replications = 2000;
+    for (const auto* defaults : {&fixed, &adaptive, &certified}) {
+        ASSERT_EQ(defaults->tally_epsilon, eps);
+        ld::election::EvalOptions exact = *defaults;
+        exact.tally_epsilon = 0.0;
+        ld::rng::Rng rng_default(17), rng_exact(17);
+        const auto d = ld::election::estimate_gain(mech, inst, rng_default, *defaults);
+        const auto e = ld::election::estimate_gain(mech, inst, rng_exact, exact);
+        EXPECT_NEAR(d.pm.value, e.pm.value, eps / 2.0 + 1e-15);
+        EXPECT_EQ(d.pm.replications, e.pm.replications);
+        EXPECT_EQ(d.pd, e.pd);
+        EXPECT_EQ(d.mean_delegators, e.mean_delegators);
+        EXPECT_EQ(d.mean_sinks, e.mean_sinks);
+        EXPECT_EQ(d.mean_max_weight, e.mean_max_weight);
+        EXPECT_EQ(d.mean_longest_path, e.mean_longest_path);
+    }
+}
+
+TEST(TruncatedTallyRoute, IntervalsFoldInHalfEpsilon) {
+    // Nobody delegates, so every replication tallies the same profile, the
+    // sampling half-width is 0, and the reported intervals are exactly
+    // the certified ±ε/2 — and collapse to a point on the exact route.
+    const auto inst = [&] {
+        ld::rng::Rng build(7);
+        return ld::experiments::complete_pc_instance(build, 51, 0.05, 0.02, 0.3);
+    }();
+    const ld::mech::ApprovalSizeThreshold mech(1000);
+    ld::election::EvalOptions opts;
+    opts.replications = 4;
+    ld::rng::Rng rng(3);
+    const auto report = ld::election::estimate_gain(mech, inst, rng, opts);
+    EXPECT_NEAR(report.pm.ci.hi - report.pm.ci.lo, opts.tally_epsilon, 1e-15);
+    EXPECT_NEAR(report.gain_ci.hi - report.gain_ci.lo, opts.tally_epsilon, 1e-15);
+    opts.tally_epsilon = 0.0;
+    const auto exact = ld::election::estimate_gain(mech, inst, rng, opts);
+    EXPECT_EQ(exact.pm.ci.lo, exact.pm.ci.hi);
+}
+
 TEST(AdaptiveStopping, DeterministicForFixedSeedAndThreads) {
     ld::rng::Rng rng_a(33), rng_b(33);
     const auto inst = [&] {
