@@ -50,7 +50,7 @@ void BM_GenerateDRegular(benchmark::State& state) {
         benchmark::DoNotOptimize(graph::make_random_d_regular(rng, n, 16));
     }
 }
-BENCHMARK(BM_GenerateDRegular)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_GenerateDRegular)->Arg(1000)->Arg(4000)->Arg(100000);
 
 void BM_GenerateErdosRenyi(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

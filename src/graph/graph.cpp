@@ -27,14 +27,20 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
                     "from_csr: adjacency must be ascending and deduplicated");
         }
     }
-    Graph g(std::move(offsets), std::move(neighbours));
-    // Symmetry: every half-edge must have its mirror.
-    for (Vertex v = 0; v < n; ++v) {
-        for (Vertex u : g.neighbours(v)) {
-            expects(g.has_edge(u, v), "from_csr: adjacency must be symmetric");
+    // Symmetry: every half-edge must have its mirror.  Visiting u in
+    // ascending order meets the mirrors of v's row in v's ascending order,
+    // so one cursor per row consumes it front to back; a cursor that finds
+    // anything but u (or runs off its row) is a half-edge without a mirror.
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (std::size_t u = 0; u < n; ++u) {
+        for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+            const Vertex v = neighbours[i];
+            expects(cursor[v] < offsets[v + 1] && neighbours[cursor[v]] == u,
+                    "from_csr: adjacency must be symmetric");
+            ++cursor[v];
         }
     }
-    return g;
+    return Graph(std::move(offsets), std::move(neighbours));
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const {

@@ -413,6 +413,11 @@ TEST(GenPlumbing, ChunkBufferCanonicalisesAndFlushes) {
 TEST(GenPlumbing, FromCsrRejectsBrokenInvariants) {
     // Asymmetric: 0->1 without 1->0.
     EXPECT_THROW(Graph::from_csr({0, 1, 1}, {1}), ContractViolation);
+    // Balanced but asymmetric: the directed cycle 0->1->2->3->0 (every
+    // in-degree equals the out-degree, and the half-edge count is even).
+    EXPECT_THROW(Graph::from_csr({0, 1, 2, 3, 4}, {1, 2, 3, 0}), ContractViolation);
+    // Right row lengths, wrong neighbour: path 0-1-2 with row 2 = {0}.
+    EXPECT_THROW(Graph::from_csr({0, 1, 3, 4}, {1, 0, 2, 0}), ContractViolation);
     // Self-loop.
     EXPECT_THROW(Graph::from_csr({0, 1, 2}, {0, 1}), ContractViolation);
     // Valid single edge.

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "graph/generators.hpp"
@@ -77,11 +79,24 @@ TEST(Grid, RejectsZeroDimensionsAndOverflow) {
 
 TEST(Generators, RejectSizesBeyondVertexRange) {
     Rng rng(6);
-    const std::size_t beyond = (std::size_t{1} << 32) + 2;
+    // n = 2^32 is the first size whose ids do not fit a Vertex; a head that
+    // let it through would spin a 32-bit loop counter that never reaches n.
+    const std::size_t beyond = std::size_t{1} << 32;
+    EXPECT_THROW(g::make_complete(beyond), ContractViolation);
+    EXPECT_THROW(g::make_star(beyond), ContractViolation);
+    EXPECT_THROW(g::make_path(beyond), ContractViolation);
+    EXPECT_THROW(g::make_cycle(beyond), ContractViolation);
+    EXPECT_THROW(g::make_grid(std::size_t{1} << 16, std::size_t{1} << 16),
+                 ContractViolation);
+    EXPECT_THROW(g::make_erdos_renyi_gnp(rng, beyond, 0.5), ContractViolation);
     EXPECT_THROW(g::make_erdos_renyi_gnm(rng, beyond, 1), ContractViolation);
     EXPECT_THROW(g::make_random_d_regular(rng, beyond, 2), ContractViolation);
-    EXPECT_THROW(g::make_barabasi_albert(rng, beyond, 2), ContractViolation);
+    EXPECT_THROW(g::make_d_out(rng, beyond, 2), ContractViolation);
     EXPECT_THROW(g::make_bounded_degree(rng, beyond, 2, 1), ContractViolation);
+    EXPECT_THROW(g::make_min_degree_at_least(rng, beyond, 2), ContractViolation);
+    EXPECT_THROW(g::make_barabasi_albert(rng, beyond, 2), ContractViolation);
+    EXPECT_THROW(g::make_watts_strogatz(rng, beyond, 4, 0.1), ContractViolation);
+    EXPECT_THROW(g::make_two_tier(rng, beyond, 3, 2), ContractViolation);
 }
 
 TEST(BoundedDegree, InfeasibleTargetDetectedWithoutOverflow) {
@@ -146,6 +161,93 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DRegularSweep,
                                            std::make_tuple(128, 8),
                                            std::make_tuple(401, 6),
                                            std::make_tuple(1000, 16)));
+
+// FNV-1a over the little-endian bytes of `value`.
+template <typename T>
+void fnv1a_fold(std::uint64_t& hash, T value) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+        hash ^= (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+    }
+}
+
+// Folds one seeded call: its edge list, or a marker when it used up its
+// restarts, then the caller's next draw, which pins the Rng position.
+void fold_d_regular_call(std::uint64_t& hash, std::uint64_t seed, std::size_t n,
+                         std::size_t d) {
+    Rng rng(seed);
+    try {
+        const auto edges = g::make_random_d_regular(rng, n, d).edges();
+        fnv1a_fold(hash, edges.size());
+        for (const auto& e : edges) {
+            fnv1a_fold(hash, e.u);
+            fnv1a_fold(hash, e.v);
+        }
+    } catch (const std::runtime_error&) {
+        fnv1a_fold(hash, ~std::uint64_t{0});
+    }
+    fnv1a_fold(hash, rng.next());
+}
+
+struct DRegularDigest {
+    std::size_t n;
+    std::size_t d;
+    std::uint64_t digest;
+};
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// Rand(n, d) instances are part of every seeded result, so the exact head
+// must keep producing the recorded graphs, the recorded exhausted-restart
+// throws (n = 5, d = 4 and n = 6, d = 5) and the recorded caller Rng
+// positions.  The grid rows fold seeds 1..50 over every n·d-even d < n.
+TEST(DRegular, GraphsAndRngPositionMatchRecordedDigests) {
+    const DRegularDigest grid[] = {
+        {4, 1, 0x533965e5625fbee2ULL},    {4, 2, 0xfdb2f015472e113dULL},
+        {4, 3, 0xa46c5d492517e372ULL},    {5, 2, 0x0b64d47f2c16f019ULL},
+        {5, 4, 0xe60552ad8eefdaf2ULL},    {6, 1, 0x8025039b196dad02ULL},
+        {6, 2, 0x33054018365ec3d2ULL},    {6, 3, 0xf98762f68a3edf6cULL},
+        {6, 4, 0xb71277769f238c17ULL},    {6, 5, 0xd48351f6b42ad05aULL},
+        {8, 1, 0xa687f9ad85bd6a0dULL},    {8, 2, 0x25ff399e224b906cULL},
+        {8, 3, 0x25bff15a2fc8db38ULL},    {8, 4, 0xba9ea36b1afa1286ULL},
+        {8, 5, 0xd63e64fd6e1ee1c4ULL},    {10, 1, 0xe744972c445a3467ULL},
+        {10, 2, 0x80e2fbcd5c33b244ULL},   {10, 3, 0x963b1ceb2c387090ULL},
+        {10, 4, 0x5c7a5d007b2f496fULL},   {10, 5, 0x581e23b59a5b90cdULL},
+        {10, 8, 0x1193cdfc173e6d47ULL},   {12, 1, 0xbb3aeff0e9327452ULL},
+        {12, 2, 0xfdc5e18718386f42ULL},   {12, 3, 0x883cc35397d5c9b2ULL},
+        {12, 4, 0xca33057250075073ULL},   {12, 5, 0xcc6c016da49d8a0eULL},
+        {12, 8, 0xfbc54e1a59cc8665ULL},   {17, 2, 0x489c5e594c14c9acULL},
+        {17, 4, 0x4d13a7cf1c07b728ULL},   {17, 8, 0x5d92667bb8be167cULL},
+        {30, 1, 0x2a857fd12d0aef13ULL},   {30, 2, 0x236069a7ef3a28e8ULL},
+        {30, 3, 0x51267e4e1007d79eULL},   {30, 4, 0xea84575f57f9316aULL},
+        {30, 5, 0x0dddd6bf1d241611ULL},   {30, 8, 0x7967f3a6c7ea6376ULL},
+        {100, 1, 0xc149ef1b18272bfaULL},  {100, 2, 0x0b78abca69edb91eULL},
+        {100, 3, 0xacb4583907197798ULL},  {100, 4, 0x3da3ab3b14be2440ULL},
+        {100, 5, 0xa259e0546d1fa0a6ULL},  {100, 8, 0xca79b1e6ae24dc38ULL},
+        {1000, 1, 0x9fe47ccb19086282ULL}, {1000, 2, 0x0dedd6a5bedc6e8cULL},
+        {1000, 3, 0xa7d9dcef463b0bc7ULL}, {1000, 4, 0x83ee6e6034ad3ba3ULL},
+        {1000, 5, 0x8d7652251a4407cdULL}, {1000, 8, 0x3d6d3ab61212677aULL},
+    };
+    for (const DRegularDigest& row : grid) {
+        std::uint64_t hash = kFnvOffset;
+        for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+            fold_d_regular_call(hash, seed, row.n, row.d);
+        }
+        EXPECT_EQ(hash, row.digest) << "n=" << row.n << " d=" << row.d;
+    }
+    // The eval recipe (n = 4000, d = 8), the sweep and serve shape
+    // (n = 1e5, d = 8) and a denser row, seed 1 each.
+    const DRegularDigest large[] = {
+        {4000, 8, 0x62a8a81a4dd39f36ULL},
+        {100000, 8, 0x30692ef1ece00ff4ULL},
+        {4000, 16, 0xb194d94bb6ea4adcULL},
+    };
+    for (const DRegularDigest& row : large) {
+        std::uint64_t hash = kFnvOffset;
+        fold_d_regular_call(hash, 1, row.n, row.d);
+        EXPECT_EQ(hash, row.digest) << "n=" << row.n << " d=" << row.d;
+    }
+}
 
 TEST(DOut, DegreesAreAtLeastD) {
     Rng rng(6);
