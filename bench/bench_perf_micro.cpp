@@ -291,6 +291,40 @@ void BM_PatchEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PatchEval)->Arg(10000)->Arg(100000);
 
+// BM_PatchEval's adjacent slots share almost their whole root path, so it
+// flatters the one-combine-per-dirty-node flush.  Serve's churn mix
+// re-delegates random voters to random targets, whose two root paths
+// share only their top few nodes: here a random voter delegates to a
+// random other voter and then votes again, from the all-vote profile a
+// serve session is born at, with serve_mixed's competency spread.
+void BM_PatchEvalServeMix(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(14);
+    const auto comps = model::uniform_competencies(rng, n, 0.45, 0.555);
+    delegation::DynamicResolution res;
+    res.reset_all_vote(n);
+    election::LiveTally tally;
+    tally.reset(comps.values(), res, kChurnEps);
+    graph::Vertex v = 0;
+    std::size_t step = 0;
+    for (auto _ : state) {
+        delegation::DynamicResolution::PatchResult patch;
+        if (step & 1) {
+            patch = res.set_vote(v);
+        } else {
+            v = static_cast<graph::Vertex>(rng.next_below(n));
+            auto to = static_cast<graph::Vertex>(rng.next_below(n - 1));
+            if (to >= v) ++to;
+            patch = res.set_delegate(v, to);
+        }
+        tally.apply_sink_changes({patch.changes.data(), patch.change_count});
+        benchmark::DoNotOptimize(tally.correct_probability());
+        ++step;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PatchEvalServeMix)->Arg(100000);
+
 void BM_FullEval(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     rng::Rng rng(12);  // same stream as BM_PatchEval: same competencies
@@ -482,6 +516,28 @@ void convolve_simd_bench(benchmark::State& state, support::SimdTier tier) {
                             static_cast<benchmark::IterationCount>(n));
 }
 
+// The product tree's window convolution per tier, at the size of the
+// root's children at n = 10⁵, ε = 1e-9 (2107 and 1421 entries) — the
+// largest combine a live-tally patch runs.
+void window_convolve_bench(benchmark::State& state, support::SimdTier tier) {
+    TierPin pin(tier);
+    constexpr std::size_t kLarger = 2107;
+    constexpr std::size_t kSmaller = 1421;
+    std::vector<double> f(kSmaller, 1.0 / kSmaller);
+    std::vector<double> in(kLarger, 1.0 / kLarger);
+    std::vector<double> padded;
+    const double* in_padded = prob::detail::pad_window(in.data(), in.size(), padded);
+    std::vector<double> out(kSmaller + kLarger - 1);
+    const prob::detail::WindowConvolveFn kernel = prob::detail::window_convolve_kernel();
+    for (auto _ : state) {
+        kernel(f.data(), f.size(), in_padded, in.size(), out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<benchmark::IterationCount>(kSmaller * kLarger));
+}
+
 // Register the per-tier benchmarks for tiers this host can execute, so an
 // absent ISA shows up in bench_diff as an added/removed benchmark rather
 // than a failure.  Scalar always registers — it is the cross-host anchor.
@@ -494,6 +550,9 @@ void register_simd_benchmarks() {
             ("BM_ConvolveSimd/" + name).c_str(),
             [tier](benchmark::State& s) { convolve_simd_bench(s, tier); })
             ->Arg(2000);
+        benchmark::RegisterBenchmark(
+            ("BM_WindowConvolve/" + name).c_str(),
+            [tier](benchmark::State& s) { window_convolve_bench(s, tier); });
     }
 }
 

@@ -30,6 +30,9 @@ void LiveTally::reset(std::span<const double> competencies,
 
 void LiveTally::apply_sink_changes(
     std::span<const delegation::DynamicResolution::SinkChange> changes) {
+    // One flush for the whole patch: the two sinks' root paths share their
+    // upper ancestors, which are then combined once instead of twice.
+    mech_tree_.begin_bulk();
     for (const auto& change : changes) {
         if (change.weight > 0) {
             mech_tree_.set_factor(change.sink, change.weight, p_[change.sink]);
@@ -37,6 +40,7 @@ void LiveTally::apply_sink_changes(
             mech_tree_.clear_factor(change.sink);
         }
     }
+    mech_tree_.end_bulk();
 }
 
 void LiveTally::set_competency(const delegation::DynamicResolution& resolution,

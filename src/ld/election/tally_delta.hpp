@@ -12,10 +12,11 @@
 //
 // A delegation patch changes the pooled weight of at most two sinks
 // (DynamicResolution::PatchResult::changes), so re-tallying is two leaf
-// updates — O(log n) node recomputes — instead of a full rebuild.  A
-// competency patch updates one leaf in each tree.  Both probabilities are
-// certified: |reported − exact| <= the tree's error_bound() (<= the ε the
-// trees were reset with).
+// updates flushed together — each dirty ancestor recombined once, O(log n)
+// nodes — instead of a full rebuild.  A competency patch updates one leaf
+// in each tree.  Reading P^M or P^D is one O(window) pass over a tree's two
+// root children.  Both probabilities are certified: |reported − exact| <=
+// the tree's error_bound() (<= the ε the trees were reset with).
 
 #pragma once
 

@@ -3,49 +3,12 @@
 #include <span>
 #include <vector>
 
+#include "ld/serve/params.hpp"
 #include "support/metrics.hpp"
 
 namespace ld::serve {
 
 namespace {
-
-// Param access helpers (mirrors router.cpp: every mismatch is a
-// BadRequest naming the key).
-
-[[noreturn]] void bad_param(const std::string& key, const std::string& what) {
-    throw ProtocolError(ErrorCode::BadRequest, "params." + key + ": " + what);
-}
-
-const json::Value& require(const json::Value& params, const std::string& key) {
-    if (!params.is_object()) {
-        throw ProtocolError(ErrorCode::BadRequest, "params object required");
-    }
-    const json::Value* value = params.find(key);
-    if (!value) bad_param(key, "missing");
-    return *value;
-}
-
-std::string require_string(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_string() || value.as_string().empty()) {
-        bad_param(key, "expected a non-empty string");
-    }
-    return value.as_string();
-}
-
-double require_number(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_number()) bad_param(key, "expected a number");
-    return value.as_number();
-}
-
-std::size_t require_count(const json::Value& params, const std::string& key) {
-    const double d = require_number(params, key);
-    if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
-        bad_param(key, "expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(d);
-}
 
 /// One validated op, parsed before any state is touched so a malformed
 /// ops array can never leave a patch half-applied.
@@ -56,6 +19,14 @@ struct ParsedOp {
     graph::Vertex to = 0;  ///< Delegate only
     double p = 0.0;        ///< Competency only
 };
+
+/// A voter id below n, range-checked before it narrows to a Vertex.
+graph::Vertex require_vertex(const json::Value& op, const std::string& key,
+                             std::size_t n) {
+    const std::uint64_t v = require_count(op, key);
+    if (v >= n) bad_param(key, "out of range");
+    return static_cast<graph::Vertex>(v);
+}
 
 std::vector<ParsedOp> parse_ops(const json::Value& params, std::size_t n) {
     const json::Value& ops_value = require(params, "ops");
@@ -69,12 +40,10 @@ std::vector<ParsedOp> parse_ops(const json::Value& params, std::size_t n) {
         if (!entry.is_object()) bad_param("ops", "each op must be an object");
         ParsedOp op;
         const std::string kind = require_string(entry, "op");
-        op.voter = require_count(entry, "voter");
-        if (op.voter >= n) bad_param("voter", "out of range");
+        op.voter = require_vertex(entry, "voter", n);
         if (kind == "delegate") {
             op.kind = ParsedOp::Kind::Delegate;
-            op.to = require_count(entry, "to");
-            if (op.to >= n) bad_param("to", "out of range");
+            op.to = require_vertex(entry, "to", n);
         } else if (kind == "vote") {
             op.kind = ParsedOp::Kind::Vote;
         } else if (kind == "abstain") {
@@ -106,9 +75,13 @@ json::Object LiveState::summary_locked() const {
     json::Object result;
     result.emplace("instance", json::Value(base_->fingerprint));
     result.emplace("epoch", json::Value(static_cast<double>(epoch_)));
-    result.emplace("pm", json::Value(tally_.correct_probability()));
-    result.emplace("pd", json::Value(tally_.direct_probability()));
-    result.emplace("gain", json::Value(tally_.gain()));
+    // Each tail read is a pass over two root-child windows: read each
+    // once.  pm − pd is LiveTally::gain()'s own subtraction.
+    const double pm = tally_.correct_probability();
+    const double pd = tally_.direct_probability();
+    result.emplace("pm", json::Value(pm));
+    result.emplace("pd", json::Value(pd));
+    result.emplace("gain", json::Value(pm - pd));
     result.emplace("pm_error_bound", json::Value(tally_.error_bound()));
     result.emplace("pd_error_bound", json::Value(tally_.direct_error_bound()));
     result.emplace("voting_sinks",

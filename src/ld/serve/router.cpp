@@ -5,6 +5,7 @@
 #include "ld/cli/specs.hpp"
 #include "ld/delegation/delegation_graph.hpp"
 #include "ld/election/evaluator.hpp"
+#include "ld/serve/params.hpp"
 #include "stats/confidence_sequence.hpp"
 #include "support/expect.hpp"
 #include "support/metrics.hpp"
@@ -15,42 +16,8 @@ namespace ld::serve {
 
 namespace {
 
-// Param access helpers: every mismatch is a BadRequest naming the key.
-
-[[noreturn]] void bad_param(const std::string& key, const std::string& what) {
-    throw ProtocolError(ErrorCode::BadRequest, "params." + key + ": " + what);
-}
-
-const json::Value& require(const json::Value& params, const std::string& key) {
-    if (!params.is_object()) {
-        throw ProtocolError(ErrorCode::BadRequest, "params object required");
-    }
-    const json::Value* value = params.find(key);
-    if (!value) bad_param(key, "missing");
-    return *value;
-}
-
-std::string require_string(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_string() || value.as_string().empty()) {
-        bad_param(key, "expected a non-empty string");
-    }
-    return value.as_string();
-}
-
-double require_number(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_number()) bad_param(key, "expected a number");
-    return value.as_number();
-}
-
-std::size_t require_count(const json::Value& params, const std::string& key) {
-    const double d = require_number(params, key);
-    if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
-        bad_param(key, "expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(d);
-}
+// Optional params: the fallback when absent, the checks of
+// ld/serve/params.hpp when present.
 
 std::size_t optional_count(const json::Value& params, const std::string& key,
                            std::size_t fallback) {

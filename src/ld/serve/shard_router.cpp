@@ -4,10 +4,12 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "ld/serve/instance_cache.hpp"
+#include "ld/serve/params.hpp"
 #include "support/metrics.hpp"
 #include "support/signal_drain.hpp"
 
@@ -88,20 +90,25 @@ std::string ShardRouter::routing_key_of(const Request& request) {
             // Compute the fingerprint the backend will compute — the
             // cache key is deterministic, so the router needs no model
             // state to know where the instance lives.
+            // A malformed load (a missing key, or a count out of range)
+            // falls through to the generic key: any stable key will do,
+            // the backend reports the real bad_request.
             try {
                 const json::Value& params = request.params;
                 const std::string graph = params.at("graph").as_string();
                 const std::string competencies = params.at("competencies").as_string();
-                const auto n = static_cast<std::size_t>(params.at("n").as_number());
+                const std::optional<std::uint64_t> n =
+                    count_of(params.at("n").as_number());
                 const double alpha = params.at("alpha").as_number();
-                std::uint64_t seed = 1;
+                std::optional<std::uint64_t> seed = 1;
                 if (const json::Value* s = params.find("seed")) {
-                    seed = static_cast<std::uint64_t>(s->as_number());
+                    seed = count_of(s->as_number());
                 }
-                return InstanceCache::fingerprint(graph, competencies, n, alpha, seed);
+                if (n && seed) {
+                    return InstanceCache::fingerprint(graph, competencies, *n, alpha,
+                                                      *seed);
+                }
             } catch (const std::exception&) {
-                // Malformed load: any stable key will do — the backend
-                // reports the real bad_request.
             }
         }
     }
@@ -443,11 +450,12 @@ void ShardRouter::handle_backend_line(std::size_t index, const std::string& line
     }
 
     if (!id->is_number()) return;
-    const auto internal = static_cast<std::uint64_t>(id->as_number());
+    const std::optional<std::uint64_t> internal = count_of(id->as_number());
+    if (!internal) return;  // not an id this router issued
     Pending pending;
     {
         std::lock_guard<std::mutex> lock(backend.mutex);
-        const auto found = backend.pending.find(internal);
+        const auto found = backend.pending.find(*internal);
         if (found == backend.pending.end()) return;  // duplicate/stale
         pending = std::move(found->second);
         backend.pending.erase(found);

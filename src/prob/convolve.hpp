@@ -17,7 +17,7 @@
 // performance/attribution knob; determinism contracts and the certified
 // ε accounting of the truncated kernels are unaffected.
 //
-// The same tier table carries the dense window axpy of the incremental
+// The same tier table carries the window convolution of the incremental
 // tally's product tree (`prob/factor_tree.hpp`), under the same rule.
 //
 // Shared by the windowed tally kernels (`prob/truncated.hpp`, the eval
@@ -69,19 +69,43 @@ inline void convolve_two_point_scalar(const double* __restrict in,
 using ConvolveFn = void (*)(const double* __restrict in, double* __restrict out,
                             std::size_t n, std::size_t w, double p);
 
-/// Dense axpy `dst[i] += f·src[i]` for i ∈ [0, n): one multiply and one
-/// add per element, in that order, on every tier.
-using AxpyFn = void (*)(double* __restrict dst, const double* __restrict src,
-                        std::size_t n, double f);
+/// Zeros a window-convolution input must carry on each side of its data:
+/// at least the widest tier's register block minus one.
+inline constexpr std::size_t kWindowPad = 64;
+
+/// Direct-form window convolution of `f[0, nf)` with `in[0, nin)`:
+///
+///   out[k] = Σ_j f[j]·in[k−j]    for k ∈ [0, nf + nin − 1),
+///
+/// each sum started at 0 and taken over ascending j, zero f[j] skipped,
+/// one multiply then one add per term — the roundings of
+/// `for j: if (f[j] != 0) for i: out[j+i] += f[j]·in[i]` over a zeroed
+/// `out`, on every tier.  The kernels keep a block of outputs in
+/// registers and read `in` across the block unmasked, so `in` must sit
+/// inside a buffer holding kWindowPad zeros before in[0] and after
+/// in[nin − 1] (`pad_window`); adding f[j]·0 leaves a sum that started
+/// at +0 unchanged, so the pad never moves a bit.  Requires nf, nin ≥ 1;
+/// writes exactly out[0, nf + nin − 1).
+using WindowConvolveFn = void (*)(const double* __restrict f, std::size_t nf,
+                                  const double* __restrict in, std::size_t nin,
+                                  double* __restrict out);
+
+/// Copy `in` between kWindowPad zeros into `padded` and return where the
+/// copy starts — the `in` argument a WindowConvolveFn needs.
+inline const double* pad_window(const double* in, std::size_t nin,
+                                std::vector<double>& padded) {
+    padded.assign(nin + 2 * kWindowPad, 0.0);
+    std::copy(in, in + nin, padded.begin() + kWindowPad);
+    return padded.data() + kWindowPad;
+}
 
 /// Active single-pmf kernel for the current tier.  DP drivers hoist this
 /// out of their step loops so the per-step cost is one indirect call,
 /// not a dispatch lookup per convolution.
 ConvolveFn convolve_kernel();
 
-/// Active axpy kernel for the current tier (hoisted like
-/// `convolve_kernel`).
-AxpyFn axpy_kernel();
+/// Active window-convolution kernel for the current tier.
+WindowConvolveFn window_convolve_kernel();
 
 }  // namespace detail
 

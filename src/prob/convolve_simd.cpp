@@ -1,10 +1,11 @@
 // Runtime-dispatched SIMD specializations of the two-point convolution
-// and the dense window axpy (see prob/convolve.hpp for the contracts).
+// and the window convolution (see prob/convolve.hpp for the contracts).
 //
 // Bit-identity across tiers is a hard invariant here: every convolution
 // kernel — scalar, AVX2, AVX-512 — evaluates exactly `in[s]·q +
 // in[s−w]·p` as two IEEE multiplies and one add in that order, and every
-// axpy kernel evaluates `dst[i] + f·src[i]` as one multiply and one add.
+// window-convolution kernel adds `f[j]·in[k−j]` to output k over
+// ascending j as one multiply and one add.
 // Vector mul/add round each lane exactly like their scalar counterparts,
 // so lane width never changes results; the only thing a wider tier
 // changes is speed.  To keep that promise this translation unit is
@@ -15,6 +16,11 @@
 // scalar tail loop: the masked lanes run the same per-element arithmetic,
 // masked-off lanes are neither loaded (no fault past the buffer end) nor
 // stored, so a remainder is bit-identical to the scalar loop it replaces.
+//
+// The window convolution is register-blocked: a block of outputs stays in
+// accumulator registers while j walks f, and each step adds f[j] times
+// one unaligned run of `in` — loads only, no read-modify-write of `out`.
+// Terms that fall outside `in` read the caller's zero pad and add +0.
 
 #include "prob/convolve.hpp"
 
@@ -44,9 +50,33 @@ void convolve_scalar_entry(const double* __restrict in, double* __restrict out,
     convolve_two_point_scalar(in, out, n, w, p);
 }
 
-void axpy_scalar(double* __restrict dst, const double* __restrict src, std::size_t n,
-                 double f) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] += f * src[i];
+/// First j of f whose term reaches output block [k0, ...): k − j < nin.
+inline std::size_t window_j_begin(std::size_t k0, std::size_t nin) {
+    return k0 + 1 > nin ? k0 + 1 - nin : 0;
+}
+
+/// &in[k0 − j], which lies in the zero pad when j > k0.
+inline const double* window_src(const double* in, std::size_t k0, std::size_t j) {
+    return in + (static_cast<std::ptrdiff_t>(k0) - static_cast<std::ptrdiff_t>(j));
+}
+
+void window_convolve_scalar(const double* __restrict f, std::size_t nf,
+                            const double* __restrict in, std::size_t nin,
+                            double* __restrict out) {
+    constexpr std::size_t kBlock = 8;
+    const std::size_t width = nf + nin - 1;
+    for (std::size_t k0 = 0; k0 < width; k0 += kBlock) {
+        double acc[kBlock] = {};
+        const std::size_t j_end = std::min(nf, k0 + kBlock);
+        for (std::size_t j = window_j_begin(k0, nin); j < j_end; ++j) {
+            if (f[j] == 0.0) continue;
+            const double* src = window_src(in, k0, j);
+#pragma GCC unroll 8
+            for (std::size_t l = 0; l < kBlock; ++l) acc[l] += f[j] * src[l];
+        }
+        const std::size_t count = std::min(kBlock, width - k0);
+        for (std::size_t l = 0; l < count; ++l) out[k0 + l] = acc[l];
+    }
 }
 
 #if LIQUIDD_SIMD_X86
@@ -95,19 +125,37 @@ void convolve_avx2(const double* __restrict in, double* __restrict out,
 }
 
 __attribute__((target("avx2")))
-void axpy_avx2(double* __restrict dst, const double* __restrict src, std::size_t n,
-               double f) {
-    const __m256d vf = _mm256_set1_pd(f);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(src + i), vf);
-        _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i), prod));
-    }
-    if (i < n) {
-        const __m256i m = avx2_head_mask(n - i);
-        const __m256d prod = _mm256_mul_pd(_mm256_maskload_pd(src + i, m), vf);
-        _mm256_maskstore_pd(dst + i, m,
-                            _mm256_add_pd(_mm256_maskload_pd(dst + i, m), prod));
+void window_convolve_avx2(const double* __restrict f, std::size_t nf,
+                          const double* __restrict in, std::size_t nin,
+                          double* __restrict out) {
+    constexpr std::size_t kLanes = 4;
+    constexpr std::size_t kRegs = 8;
+    constexpr std::size_t kBlock = kLanes * kRegs;
+    const std::size_t width = nf + nin - 1;
+    for (std::size_t k0 = 0; k0 < width; k0 += kBlock) {
+        __m256d acc[kRegs];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRegs; ++r) acc[r] = _mm256_setzero_pd();
+        const std::size_t j_end = std::min(nf, k0 + kBlock);
+        for (std::size_t j = window_j_begin(k0, nin); j < j_end; ++j) {
+            if (f[j] == 0.0) continue;
+            const __m256d vf = _mm256_set1_pd(f[j]);
+            const double* src = window_src(in, k0, j);
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < kRegs; ++r) {
+                const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(src + r * kLanes), vf);
+                acc[r] = _mm256_add_pd(acc[r], prod);
+            }
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRegs; ++r) {
+            const std::size_t base = k0 + r * kLanes;
+            if (base + kLanes <= width) {
+                _mm256_storeu_pd(out + base, acc[r]);
+            } else if (base < width) {
+                _mm256_maskstore_pd(out + base, avx2_head_mask(width - base), acc[r]);
+            }
+        }
     }
 }
 
@@ -155,19 +203,38 @@ void convolve_avx512(const double* __restrict in, double* __restrict out,
 }
 
 __attribute__((target("avx512f")))
-void axpy_avx512(double* __restrict dst, const double* __restrict src, std::size_t n,
-                 double f) {
-    const __m512d vf = _mm512_set1_pd(f);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d prod = _mm512_mul_pd(_mm512_loadu_pd(src + i), vf);
-        _mm512_storeu_pd(dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i), prod));
-    }
-    if (i < n) {
-        const __mmask8 m = avx512_head_mask(n - i);
-        const __m512d prod = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, src + i), vf);
-        _mm512_mask_storeu_pd(dst + i, m,
-                              _mm512_add_pd(_mm512_maskz_loadu_pd(m, dst + i), prod));
+void window_convolve_avx512(const double* __restrict f, std::size_t nf,
+                            const double* __restrict in, std::size_t nin,
+                            double* __restrict out) {
+    constexpr std::size_t kLanes = 8;
+    constexpr std::size_t kRegs = 8;
+    constexpr std::size_t kBlock = kLanes * kRegs;
+    static_assert(kBlock <= kWindowPad + 1, "the zero pad must cover one block");
+    const std::size_t width = nf + nin - 1;
+    for (std::size_t k0 = 0; k0 < width; k0 += kBlock) {
+        __m512d acc[kRegs];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRegs; ++r) acc[r] = _mm512_setzero_pd();
+        const std::size_t j_end = std::min(nf, k0 + kBlock);
+        for (std::size_t j = window_j_begin(k0, nin); j < j_end; ++j) {
+            if (f[j] == 0.0) continue;
+            const __m512d vf = _mm512_set1_pd(f[j]);
+            const double* src = window_src(in, k0, j);
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < kRegs; ++r) {
+                const __m512d prod = _mm512_mul_pd(_mm512_loadu_pd(src + r * kLanes), vf);
+                acc[r] = _mm512_add_pd(acc[r], prod);
+            }
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRegs; ++r) {
+            const std::size_t base = k0 + r * kLanes;
+            if (base + kLanes <= width) {
+                _mm512_storeu_pd(out + base, acc[r]);
+            } else if (base < width) {
+                _mm512_mask_storeu_pd(out + base, avx512_head_mask(width - base), acc[r]);
+            }
+        }
     }
 }
 
@@ -178,15 +245,16 @@ void axpy_avx512(double* __restrict dst, const double* __restrict src, std::size
 struct KernelTable {
     support::SimdTier tier;
     ConvolveFn convolve;
-    AxpyFn axpy;
+    WindowConvolveFn window_convolve;
 };
 
 constexpr KernelTable kScalarTable{support::SimdTier::kScalar, &convolve_scalar_entry,
-                                   &axpy_scalar};
+                                   &window_convolve_scalar};
 #if LIQUIDD_SIMD_X86
-constexpr KernelTable kAvx2Table{support::SimdTier::kAvx2, &convolve_avx2, &axpy_avx2};
+constexpr KernelTable kAvx2Table{support::SimdTier::kAvx2, &convolve_avx2,
+                                 &window_convolve_avx2};
 constexpr KernelTable kAvx512Table{support::SimdTier::kAvx512, &convolve_avx512,
-                                   &axpy_avx512};
+                                   &window_convolve_avx512};
 #endif
 
 const KernelTable* table_for(support::SimdTier tier) {
@@ -244,7 +312,7 @@ const KernelTable& active_table() {
 
 ConvolveFn convolve_kernel() { return active_table().convolve; }
 
-AxpyFn axpy_kernel() { return active_table().axpy; }
+WindowConvolveFn window_convolve_kernel() { return active_table().window_convolve; }
 
 }  // namespace detail
 

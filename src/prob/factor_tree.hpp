@@ -12,22 +12,30 @@
 // their children, so one leaf change re-convolves only the O(log n) nodes
 // on its root path.
 //
-// Certified truncation: each internal node stores a *windowed* pmf — after
-// convolving its children it may drop leading/trailing tail mass up to a
-// per-node budget τ = ε / #internal-nodes, and records exactly how much it
-// dropped.  `error_bound()` returns Σ dropped over the current tree, a
-// rigorous bound on |reported − exact| for any tail query (mass is only
-// ever removed, never misplaced), and it never exceeds ε no matter how
-// many updates have been applied, because recomputing a node *replaces*
-// its dropped mass rather than accumulating it.  ε = 0 keeps every node
-// exact (identical support to the full DP).
+// The root itself is never built.  Its product would be read by one tail
+// query and costs about as much as the rest of the path together, so
+// `tail_above` reads P[A + B > t] off the root's two children A and B in
+// one O(|A| + |B|) pass (a one-slot tree reads its leaf).  Changed leaves
+// queue up until the next flush — at once outside bulk mode, at
+// `end_bulk()` inside it — and a flush combines every dirty node once,
+// children before parents, however many of its leaves changed.
 //
-// Determinism: the window axpy runs on the dispatched kernel tier
-// (`prob/convolve.hpp`), whose tiers all round one multiply and one add
-// per element — results are bit-identical across kernel tiers and across
-// any update order that produces the same leaf state *per node shape*;
-// tests compare against the tier-dispatched reference tally within
-// error_bound().
+// Certified truncation: each internal node below the root stores a
+// *windowed* pmf — after convolving its children it may drop
+// leading/trailing tail mass up to a per-node budget τ = ε / #internal-
+// nodes, and records exactly how much it dropped.  `error_bound()`
+// returns Σ dropped over those nodes, a rigorous bound on |reported −
+// exact| for any tail query (mass is only ever removed, never misplaced),
+// and it never exceeds ε no matter how many updates have been applied,
+// because recomputing a node *replaces* its dropped mass rather than
+// accumulating it.  ε = 0 keeps every node exact.
+//
+// Determinism: the window convolution runs on the dispatched kernel tier
+// (`prob/convolve.hpp`), whose tiers all round the same multiplies and
+// adds in the same order — every node window is bit-identical across
+// kernel tiers and across any update order that produces the same leaf
+// state; tests compare against brute force and the tier-dispatched
+// reference tally within error_bound().
 
 #pragma once
 
@@ -67,15 +75,17 @@ public:
     double factor_p(std::size_t slot) const;
 
     /// Defer path recomputation across a batch of set/clear calls;
-    /// end_bulk() rebuilds every touched subtree bottom-up (one combine
-    /// per node, the O(n) build path — use for initial population).
+    /// end_bulk() combines every ancestor of a touched leaf once, children
+    /// first — the O(n) build path for initial population, and one
+    /// combine per dirty node for a multi-leaf patch.
     void begin_bulk();
     void end_bulk();
 
     /// Σ weights of active factors (the total cast weight W).
     std::uint64_t total_weight() const noexcept { return total_weight_; }
 
-    /// P[S > threshold] over the active factors.
+    /// P[S > threshold] over the active factors, read off the root's two
+    /// children in O(window) without building the root.
     double tail_above(std::uint64_t threshold) const;
 
     /// P[2S > W] — the strict weighted-majority tally.  0 when W == 0
@@ -83,7 +93,8 @@ public:
     double majority_probability() const;
 
     /// Certified bound on |reported − exact| for tail queries: the total
-    /// tail mass currently dropped across all nodes (<= epsilon).
+    /// tail mass currently dropped across the nodes below the root
+    /// (<= epsilon).
     double error_bound() const;
 
     /// Approximate resident bytes of all node windows (capacity-based).
@@ -97,7 +108,8 @@ private:
     };
 
     void combine(std::size_t node);
-    void recompute_path(std::size_t slot);
+    void mark_dirty(std::size_t slot);
+    void flush();
 
     std::size_t slots_ = 0;
     std::size_t cap_ = 0;  ///< leaf capacity, power of two >= max(slots, 1)
@@ -107,10 +119,11 @@ private:
     double dropped_total_ = 0.0;  ///< running Σ dropped_ (== error_bound())
     bool bulk_ = false;
     std::vector<Leaf> leaves_;
-    std::vector<std::uint8_t> bulk_dirty_;  ///< per-leaf, consumed by end_bulk
-    std::vector<FactorWindow> nodes_;       ///< heap layout, root = 1
-    std::vector<double> dropped_;           ///< mass clipped at each node
-    std::vector<double> scratch_;           ///< combine staging buffer
+    std::vector<std::size_t> pending_;  ///< leaves changed since the last flush
+    std::vector<FactorWindow> nodes_;   ///< heap layout, root = 1 (a leaf or unbuilt)
+    std::vector<double> dropped_;       ///< mass clipped at each node
+    std::vector<double> padded_;        ///< combine: zero-padded larger child
+    std::vector<double> scratch_;       ///< combine staging buffer
 };
 
 }  // namespace ld::prob

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -404,6 +405,115 @@ TEST(FactorTree, TruncatedTreeStaysInsideCertifiedBound) {
     }
 }
 
+/// Random factor probability: exactly 0 or 1 about one time in four each.
+double random_factor_p(Rng& rng) {
+    const std::uint64_t roll = rng.next_below(4);
+    if (roll == 0) return 0.0;
+    if (roll == 1) return 1.0;
+    return 0.05 + 0.9 * static_cast<double>(rng.next_below(1000)) / 1000.0;
+}
+
+TEST(FactorTree, TailFromRootChildrenMatchesBruteForce) {
+    // The root is never built: every tail is read off its two children
+    // (or, with one slot, off the leaf).  Check every threshold, with
+    // inactive slots, zero weights and certain factors in the mix.
+    Rng rng(41);
+    for (const std::size_t slots : {1, 2, 3, 5, 12}) {
+        for (int trial = 0; trial < 6; ++trial) {
+            for (const double epsilon : {0.0, 1e-3}) {
+                FactorTree tree;
+                tree.reset(slots, epsilon);
+                std::vector<std::uint64_t> weights;
+                std::vector<double> probs;
+                tree.begin_bulk();
+                for (std::size_t slot = 0; slot < slots; ++slot) {
+                    if (rng.next_below(4) == 0) continue;  // stays inactive
+                    weights.push_back(rng.next_below(6));  // 0 included
+                    probs.push_back(random_factor_p(rng));
+                    tree.set_factor(slot, weights.back(), probs.back());
+                }
+                tree.end_bulk();
+                ASSERT_LE(tree.error_bound(), epsilon);
+                if (epsilon == 0.0) {
+                    EXPECT_EQ(tree.error_bound(), 0.0);
+                }
+                const double tolerance = tree.error_bound() + 1e-12;
+                const std::uint64_t total = tree.total_weight();
+                for (std::uint64_t t = 0; t <= total + 1; ++t) {
+                    EXPECT_NEAR(tree.tail_above(t), brute_force_tail(weights, probs, t),
+                                tolerance)
+                        << "slots=" << slots << " eps=" << epsilon << " t=" << t;
+                }
+                EXPECT_EQ(tree.majority_probability(),
+                          total == 0 ? 0.0 : tree.tail_above(total / 2));
+            }
+        }
+    }
+}
+
+TEST(FactorTree, TwoLeafPatchesAgreeInBulkOneAtATimeAndRebuilt) {
+    // A two-leaf patch flushed once (each shared ancestor combined once)
+    // must leave the same windows as two single-leaf updates and as a
+    // fresh build of the same leaves: same leaves, same node shape.
+    constexpr std::size_t kSlots = 37;  // capacity 64: right half is [32, 37)
+    constexpr std::size_t kHalf = 32;
+    for (const double epsilon : {0.0, 1e-6}) {
+        Rng rng(53);
+        FactorTree bulk;
+        FactorTree single;
+        bulk.reset(kSlots, epsilon);
+        single.reset(kSlots, epsilon);
+        auto change = [&](std::size_t slot, bool clear, std::uint64_t weight, double p) {
+            for (FactorTree* tree : {&bulk, &single}) {
+                if (clear) {
+                    tree->clear_factor(slot);
+                } else {
+                    tree->set_factor(slot, weight, p);
+                }
+            }
+        };
+        for (int step = 0; step < 90; ++step) {
+            std::size_t first = rng.next_below(kSlots);
+            std::size_t second = first;  // shape 0: the same leaf twice
+            if (step % 3 == 1) {         // siblings
+                first = std::min(first & ~std::size_t{1}, kSlots - 3);
+                second = first + 1;
+            } else if (step % 3 == 2) {  // opposite halves of the tree
+                first = rng.next_below(kHalf);
+                second = kHalf + rng.next_below(kSlots - kHalf);
+            }
+            bulk.begin_bulk();
+            for (const std::size_t slot : {first, second}) {
+                const bool clear = rng.next_below(5) == 0;
+                const std::uint64_t weight = rng.next_below(10);
+                const double p = random_factor_p(rng);
+                change(slot, clear, weight, p);
+            }
+            bulk.end_bulk();
+
+            FactorTree fresh;
+            fresh.reset(kSlots, epsilon);
+            fresh.begin_bulk();
+            for (std::size_t slot = 0; slot < kSlots; ++slot) {
+                if (single.has_factor(slot)) {
+                    fresh.set_factor(slot, single.factor_weight(slot),
+                                     single.factor_p(slot));
+                }
+            }
+            fresh.end_bulk();
+
+            ASSERT_EQ(bulk.total_weight(), single.total_weight());
+            ASSERT_EQ(bulk.total_weight(), fresh.total_weight());
+            EXPECT_LE(bulk.error_bound(), epsilon);
+            for (std::uint64_t t = 0; t <= bulk.total_weight() + 1; ++t) {
+                const double tail = bulk.tail_above(t);
+                EXPECT_EQ(tail, single.tail_above(t)) << "step " << step << " t=" << t;
+                EXPECT_EQ(tail, fresh.tail_above(t)) << "step " << step << " t=" << t;
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------- LiveTally delta
 
 /// Drive one randomized churn sequence (delegation + competency patches)
@@ -455,10 +565,11 @@ TEST(LiveTally, PatchSequenceTracksExactTallyWithinBound) {
 }
 
 TEST(LiveTally, ResultsAreBitIdenticalAcrossKernelTiers) {
-    // FactorTree uses plain double loops, so the live tally must not move
-    // by a single bit when the dispatched kernels change tier — while the
-    // *reference* DP inside run_live_tally_sequence re-verifies agreement
-    // under each tier.
+    // FactorTree combines on the tier table's window convolution, whose
+    // tiers add the same products in the same order, so the live tally
+    // must not move by a single bit when the kernels change tier — while
+    // the *reference* DP inside run_live_tally_sequence re-verifies
+    // agreement under each tier.
     const auto baseline = run_live_tally_sequence(1e-9);
     for (const SimdTier tier : kAllTiers) {
         TierGuard guard(tier);
@@ -642,6 +753,67 @@ TEST(ServePatch, UnknownInstanceIsNotFound) {
                   .at("code")
                   .as_string(),
               "not_found");
+}
+
+/// Counts no JSON number may carry: too large for any integer type, negative,
+/// fractional, and one step past 2⁵³ (where doubles start skipping integers).
+const std::array<double, 4> kBadCounts = {1e300, -1.0, 2.5, 9007199254740994.0};
+
+TEST(ServePatch, OutOfRangeCountsAreBadRequestsAndLeaveTheEpoch) {
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    const std::string fingerprint = load_instance(router);
+    json::Array first;
+    first.push_back(op_delegate(0, 1));
+    ASSERT_TRUE(patch_request(router, fingerprint, std::move(first)).at("ok").as_bool());
+
+    auto live_epoch = [&] {
+        json::Object params;
+        params.emplace("instance", json::Value(fingerprint));
+        return call(router, "instance.state", std::move(params))
+            .at("result")
+            .at("epoch")
+            .as_number();
+    };
+    for (const double bad : kBadCounts) {
+        for (const std::string field : {"voter", "to", "expect_epoch"}) {
+            json::Object op;
+            op.emplace("op", json::Value(std::string("delegate")));
+            op.emplace("voter", json::Value(field == "voter" ? bad : 3.0));
+            op.emplace("to", json::Value(field == "to" ? bad : 1.0));
+            json::Array ops;
+            ops.emplace_back(std::move(op));
+            std::optional<double> expect_epoch;
+            if (field == "expect_epoch") expect_epoch = bad;
+            const json::Value response =
+                patch_request(router, fingerprint, std::move(ops), expect_epoch);
+            ASSERT_FALSE(response.at("ok").as_bool()) << field << " = " << bad;
+            EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+                << field << " = " << bad;
+            EXPECT_EQ(live_epoch(), 1.0) << field << " = " << bad;
+        }
+    }
+}
+
+TEST(ServeParams, InstanceLoadRejectsOutOfRangeCounts) {
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    for (const double bad : kBadCounts) {
+        for (const std::string field : {"n", "seed"}) {
+            json::Object load;
+            load.emplace("graph", json::Value(std::string(kGraph)));
+            load.emplace("competencies", json::Value(std::string(kCompetencies)));
+            load.emplace("n", json::Value(field == "n" ? bad : static_cast<double>(kN)));
+            load.emplace("alpha", json::Value(kAlpha));
+            load.emplace("seed",
+                         json::Value(field == "seed" ? bad : static_cast<double>(kSeed)));
+            const json::Value response = call(router, "instance.load", std::move(load));
+            ASSERT_FALSE(response.at("ok").as_bool()) << field << " = " << bad;
+            EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+                << field << " = " << bad;
+        }
+    }
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 // ---------------------------------------------------- game on the engine

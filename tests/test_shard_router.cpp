@@ -147,6 +147,26 @@ TEST(ShardRouterUnits, RoutingKeyUsesTheInstanceFingerprint) {
               json::dump(broken_params));
 }
 
+TEST(ShardRouterUnits, RoutingKeyFallsBackOnOutOfRangeCounts) {
+    // n or seed that is no count (too large for any integer, negative,
+    // fractional, past 2^53) is never cast: the load routes by its generic
+    // key and the backend answers bad_request.
+    for (const double bad : {1e300, -1.0, 2.5, 9007199254740994.0}) {
+        for (const std::string field : {"n", "seed"}) {
+            json::Object load;
+            load.emplace("graph", json::Value(std::string("complete")));
+            load.emplace("competencies", json::Value(std::string("uniform:0.3,0.7")));
+            load.emplace("n", json::Value(field == "n" ? bad : 40.0));
+            load.emplace("alpha", json::Value(0.05));
+            load.emplace("seed", json::Value(field == "seed" ? bad : 7.0));
+            const json::Value params(std::move(load));
+            const serve::Request request = make_request("instance.load", params);
+            EXPECT_EQ(serve::ShardRouter::routing_key_of(request), json::dump(params))
+                << field << " = " << bad;
+        }
+    }
+}
+
 // End to end ---------------------------------------------------------------
 
 class RouterClient {

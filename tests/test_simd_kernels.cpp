@@ -1,10 +1,11 @@
 // Property suite for the runtime-dispatched SIMD kernels
 // (prob/convolve_simd.cpp): the two-point convolution and the product
-// tree's window axpy.
+// tree's window convolution.
 //
 // The dispatch layer promises *bit-identity*: every tier — scalar,
-// AVX2, AVX-512 — evaluates the same mul/mul/add (convolution) or
-// mul/add (axpy) expression per element, so results never depend on the
+// AVX2, AVX-512 — evaluates the same mul/mul/add expression per element
+// (two-point convolution), or adds the same products to each output in
+// the same order (window convolution), so results never depend on the
 // host.  The tests below therefore assert exact equality (0 ulp,
 // strictly stronger than the ≤1-ulp acceptance bound) and skip cleanly
 // on hosts that lack an ISA tier.
@@ -141,33 +142,56 @@ TEST(SimdKernelAgreement, SingleStepAllRegions) {
     }
 }
 
-/// The product tree's window axpy `dst[i] += f·src[i]` agrees bit for bit
-/// across tiers at every length up to 24 (every masked remainder) and one
-/// long run, and leaves the entry past its range untouched (the scalar
-/// reference never touches dst[n]).
-TEST(SimdKernelAgreement, AxpyAcrossTiers) {
+/// Random window with about one entry in four an exact zero (leaf
+/// factors of weight > 1 are mostly zeros; the kernels skip zero factors).
+std::vector<double> random_window(ld::rng::Rng& rng, std::size_t n) {
+    std::vector<double> window(n);
+    for (double& x : window) x = rng.next_below(4) == 0 ? 0.0 : rng.next_double();
+    return window;
+}
+
+/// The product tree's window convolution agrees bit for bit, on every
+/// tier, with the loop the tree ran before the kernel existed: a zeroed
+/// output, then for ascending j with f[j] != 0, `out[j+i] += f[j]·in[i]`.
+/// Every (|f|, |in|) in [1, 40]² crosses each tier's register block and
+/// masked last block from both sides; (2107, 1421) is a root-child-sized
+/// pair at n = 10⁵, ε = 1e-9.  Sentinels on both sides of the output must
+/// survive.
+TEST(SimdKernelAgreement, WindowConvolveAcrossTiers) {
     ld::rng::Rng rng(31337u);
-    std::vector<std::size_t> lengths = {1000};
-    for (std::size_t n = 1; n <= 24; ++n) lengths.push_back(n);
-    for (std::size_t n : lengths) {
-        const std::vector<double> src = random_pmf(rng, n);
-        const std::vector<double> dst0 = random_pmf(rng, n + 1);
-        const double f = rng.next_double();
-        std::vector<double> expected = dst0;
-        {
-            TierGuard guard(SimdTier::kScalar);
-            ASSERT_TRUE(guard.pinned());
-            ld::prob::detail::axpy_kernel()(expected.data(), src.data(), n, f);
+    std::vector<std::pair<std::size_t, std::size_t>> shapes = {{2107, 1421},
+                                                               {1421, 2107}};
+    for (std::size_t nf = 1; nf <= 40; ++nf) {
+        for (std::size_t nin = 1; nin <= 40; ++nin) shapes.emplace_back(nf, nin);
+    }
+    constexpr double kSentinel = -1.0;
+    std::vector<double> padded;
+    for (const auto& [nf, nin] : shapes) {
+        const std::vector<double> f = random_window(rng, nf);
+        const std::vector<double> in = random_window(rng, nin);
+        const std::size_t width = nf + nin - 1;
+        std::vector<double> expected(width, 0.0);
+        for (std::size_t j = 0; j < nf; ++j) {
+            if (f[j] == 0.0) continue;
+            for (std::size_t i = 0; i < nin; ++i) expected[j + i] += f[j] * in[i];
         }
-        for (SimdTier tier : kWideTiers) {
+        const double* in_padded = ld::prob::detail::pad_window(in.data(), nin, padded);
+        for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kAvx512}) {
             if (!ld::support::simd_tier_supported(tier)) continue;
-            TierGuard guard(tier);
-            ASSERT_TRUE(guard.pinned());
-            std::vector<double> got = dst0;
-            ld::prob::detail::axpy_kernel()(got.data(), src.data(), n, f);
-            for (std::size_t i = 0; i <= n; ++i) {
-                EXPECT_EQ(expected[i], got[i])
-                    << ld::support::simd_tier_name(tier) << " n=" << n << " i=" << i;
+            std::vector<double> got(width + 2, kSentinel);
+            {
+                TierGuard guard(tier);
+                ASSERT_TRUE(guard.pinned());
+                ld::prob::detail::window_convolve_kernel()(f.data(), nf, in_padded, nin,
+                                                           got.data() + 1);
+            }
+            EXPECT_EQ(got.front(), kSentinel) << ld::support::simd_tier_name(tier);
+            EXPECT_EQ(got.back(), kSentinel)
+                << ld::support::simd_tier_name(tier) << " nf=" << nf << " nin=" << nin;
+            for (std::size_t k = 0; k < width; ++k) {
+                EXPECT_EQ(expected[k], got[k + 1])
+                    << ld::support::simd_tier_name(tier) << " nf=" << nf
+                    << " nin=" << nin << " k=" << k;
             }
         }
     }
