@@ -3,12 +3,12 @@
 // replication loop through an engine, so workers and their workspaces are
 // shared across experiment cells instead of being recreated per call.
 //
-// Determinism contract (unchanged from the inline-spawn implementation):
-// for a fixed (seed, threads) pair the parent RNG is split into `threads`
-// jumped streams up front, stream t runs the t-th replication chunk, and
-// partial statistics are merged in stream order — so results are
-// bit-identical no matter which OS thread executes which chunk, whether
-// the pool or the legacy spawn path runs it, and how cells are scheduled.
+// Determinism contract: for a fixed (seed, threads) pair the parent RNG
+// is split into `threads` jumped streams up front, stream t runs the t-th
+// replication chunk, and partial statistics are merged in stream order
+// (certified runs seed each replication by its index instead) — so
+// results are bit-identical no matter which OS thread executes which
+// chunk and how cells are scheduled.
 
 #pragma once
 

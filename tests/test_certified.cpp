@@ -256,32 +256,6 @@ TEST(CertifiedEstimator, StopPointBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(one.pm.certified->decided());
 }
 
-TEST(CertifiedEstimator, ThreadPoolAndRawThreadsAgree) {
-    const auto inst = [] {
-        Rng build(6);
-        return exp::complete_pc_instance(build, 101, 0.05, 0.02, 0.3);
-    }();
-    const mech::ApprovalSizeThreshold mechanism(1);
-    auto run = [&](bool use_pool) {
-        Rng rng(77);
-        EvalOptions opts;
-        opts.certify.gamma = 0.05;
-        opts.certify.delta = 0.01;
-        opts.adaptive_batch = 32;
-        opts.max_replications = 2000;
-        opts.threads = 3;
-        opts.use_thread_pool = use_pool;
-        return election::estimate_correct_probability(mechanism, inst, rng, opts);
-    };
-    const auto pooled = run(true);
-    const auto raw = run(false);
-    ASSERT_TRUE(pooled.certified && raw.certified);
-    EXPECT_EQ(pooled.certified->lo, raw.certified->lo);
-    EXPECT_EQ(pooled.certified->hi, raw.certified->hi);
-    EXPECT_EQ(pooled.certified->replications, raw.certified->replications);
-    EXPECT_EQ(pooled.value, raw.value);
-}
-
 // Error composition and stop reasons ---------------------------------------
 
 TEST(CertifiedEstimator, FoldsTruncatedTallyErrorIntoTheInterval) {
