@@ -16,6 +16,11 @@ namespace ld::serve {
 
 namespace {
 
+/// Ceiling on a request's `threads`: the replication loop sizes its RNG
+/// streams, partials and pool tasks by it.  The server's own default
+/// (`--threads`) is not capped.
+constexpr std::size_t kMaxRequestThreads = 1024;
+
 // Optional params: the fallback when absent, the checks of
 // ld/serve/params.hpp when present.
 
@@ -203,6 +208,10 @@ json::Object Router::do_eval(const json::Value& params) {
     const bool discard_cycles = optional_bool(params, "discard_cycles", false);
     if (discard_cycles) eval.cycle_policy = delegation::CyclePolicy::Discard;
     const std::size_t threads = optional_count(params, "threads", config_.eval_threads);
+    if (threads > kMaxRequestThreads && params.find("threads")) {
+        bad_param("threads",
+                  "must be in [0, " + std::to_string(kMaxRequestThreads) + "]");
+    }
     eval.threads =
         threads == 0 ? support::ThreadPool::global().worker_count() : threads;
 
@@ -211,6 +220,9 @@ json::Object Router::do_eval(const json::Value& params) {
         bad_param("mechanism", "'" + mechanism_spec +
                                    "' can create delegation cycles; set "
                                    "\"discard_cycles\": true");
+    }
+    if (mechanism->multi_delegation() && eval.inner_samples == 0) {
+        bad_param("inner_samples", "must be >= 1 for multi-delegation mechanisms");
     }
 
     json::Object result;

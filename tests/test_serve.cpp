@@ -196,6 +196,58 @@ TEST(ServeRouter, UnknownMethodAndValidation) {
               "bad_request");
 }
 
+json::Object with_param(json::Object params, const std::string& key, json::Value value) {
+    params.erase(key);
+    params.emplace(key, std::move(value));
+    return params;
+}
+
+TEST(ServeRouter, EvalRangeChecksInnerSamples) {
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    // Multi-delegation P^M needs sampled inner votes: 0 is the client's
+    // error, named as such, not an internal one.
+    const auto multi = with_param(eval_params(), "mechanism",
+                                  json::Value(std::string("multi:3,1")));
+    const json::Value rejected = call(
+        router, "eval", with_param(multi, "inner_samples", json::Value(0.0)));
+    EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(rejected.at("error").at("message").as_string().find("inner_samples"),
+              std::string::npos);
+    EXPECT_TRUE(call(router, "eval", with_param(multi, "inner_samples", json::Value(1.0)))
+                    .at("ok")
+                    .as_bool());
+    // Other mechanisms never sample inner votes and keep accepting 0.
+    EXPECT_TRUE(
+        call(router, "eval", with_param(eval_params(), "inner_samples", json::Value(0.0)))
+            .at("ok")
+            .as_bool());
+}
+
+TEST(ServeRouter, EvalCapsRequestThreads) {
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    const json::Value rejected =
+        call(router, "eval", with_param(eval_params(), "threads", json::Value(1025.0)));
+    EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(rejected.at("error").at("message").as_string().find("threads"),
+              std::string::npos);
+    const json::Value at_cap =
+        call(router, "eval", with_param(eval_params(), "threads", json::Value(1024.0)));
+    ASSERT_TRUE(at_cap.at("ok").as_bool()) << json::dump(at_cap);
+    EXPECT_EQ(at_cap.at("result").at("threads").as_number(), 1024.0);
+
+    // The server's own default is not capped; only a client's value is.
+    serve::RouterConfig config;
+    config.eval_threads = 2000;
+    serve::Router wide(config, cache);
+    auto defaulted = eval_params();
+    defaulted.erase("threads");
+    const json::Value response = call(wide, "eval", std::move(defaulted));
+    ASSERT_TRUE(response.at("ok").as_bool()) << json::dump(response);
+    EXPECT_EQ(response.at("result").at("threads").as_number(), 2000.0);
+}
+
 TEST(ServeRouter, InstanceLoadInfoAndCacheHits) {
     serve::InstanceCache cache;
     serve::Router router({}, cache);
