@@ -533,8 +533,9 @@ usage: liquidd serve [flags]
 
 Listens on a Unix-domain socket and/or a TCP loopback port and answers
 newline-delimited JSON requests: eval, instance.load, instance.info,
-metrics, health, shutdown.  Evals against a cached instance are
-micro-batched onto the shared replication engine; results are
+instance.patch, instance.state, metrics, health, shutdown.  Connections
+run concurrently, one worker per hardware thread; each connection's
+requests execute and answer in the order sent.  Results are
 bit-identical to the one-shot CLI with the same (params, seed, threads).
 SIGTERM/SIGINT (or a `shutdown` request) drains gracefully: stop
 accepting, finish admitted work, flush metrics, exit 0.
@@ -543,10 +544,9 @@ accepting, finish admitted work, flush metrics, exit 0.
   --tcp <port>           TCP loopback port (0 picks an ephemeral port,
                          printed on startup); at least one of
                          --socket/--tcp is required
-  --queue-capacity <n>   admission bound: evals queued beyond this are
-                         rejected with `overloaded` (default 128)
-  --batch-max <n>        evals coalesced per dispatcher pass when they
-                         target the same cached instance (default 16)
+  --queue-capacity <n>   admission bound: once this many requests wait,
+                         evals and patches are rejected with
+                         `overloaded` (default 128)
   --threads <count>      default eval threads for requests that name
                          none (default 0 = auto, one per hardware thread)
   --tally-eps <eps>      default windowed-tally ε applied to eval
@@ -596,10 +596,6 @@ ServeOptions parse_serve_options(const std::vector<std::string>& args) {
             options.tcp_port = port;
         }
         else if (flag == "--queue-capacity") options.queue_capacity = parse_size(next(), flag);
-        else if (flag == "--batch-max") {
-            options.batch_max = parse_size(next(), flag);
-            if (options.batch_max == 0) throw SpecError("--batch-max: must be >= 1");
-        }
         else if (flag == "--threads") options.threads = parse_size(next(), flag);
         else if (flag == "--tally-eps") {
             options.tally_eps = parse_double(next(), flag);
@@ -702,7 +698,6 @@ int run_serve(const ServeOptions& options, std::ostream& out) {
     if (options.unix_socket) config.unix_socket = *options.unix_socket;
     if (options.tcp_port) config.tcp_port = static_cast<std::uint16_t>(*options.tcp_port);
     config.queue_capacity = options.queue_capacity;
-    config.batch_max = options.batch_max;
     config.eval_threads = options.threads;
     config.tally_epsilon = options.tally_eps;
     config.default_deadline = std::chrono::milliseconds(options.deadline_ms);

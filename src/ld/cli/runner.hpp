@@ -82,7 +82,6 @@ struct ServeOptions {
     std::optional<std::string> unix_socket;  ///< --socket <path>
     std::optional<std::size_t> tcp_port;     ///< --tcp <port> (0 = ephemeral)
     std::size_t queue_capacity = 128;        ///< --queue-capacity
-    std::size_t batch_max = 16;              ///< --batch-max
     std::size_t threads = 0;                 ///< --threads (0 = auto)
     double tally_eps = election::kDefaultTallyEpsilon;  ///< --tally-eps: default ε for evals
     std::size_t deadline_ms = 0;             ///< --deadline-ms (0 = none)

@@ -46,7 +46,7 @@ namespace ld::serve {
 class EventFront;
 
 /// One client connection, owned by the front's event loop.  Handlers
-/// and dispatcher threads hold it shared: the socket closes with the
+/// and worker threads hold it shared: the socket closes with the
 /// last reference's front-side teardown, and sends to a dropped peer
 /// degrade to no-ops instead of racing a close.
 class Conn : public std::enable_shared_from_this<Conn> {

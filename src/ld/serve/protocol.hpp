@@ -1,7 +1,7 @@
 // The `liquidd.rpc.v1` wire protocol: newline-delimited JSON over a
 // Unix-domain or TCP-loopback stream.  One request per line, one response
-// per line, matched by the client-chosen `id` (responses may arrive out
-// of request order once the micro-batcher reorders evals).
+// per line, matched by the client-chosen `id` (docs/SERVING.md §4 says
+// which responses keep request order on a connection).
 //
 //   request:  {"id": <string|number>, "method": "<name>",
 //              "params": {...}, "deadline_ms": <number, optional>}

@@ -1,7 +1,8 @@
 // Request execution for the serve layer: one method table mapping
 // `liquidd.rpc.v1` methods onto the evaluation engine.  The Router is
 // synchronous and transport-free — the Server wraps it with sockets,
-// admission control, and batching; tests call handle() directly.
+// admission control, and per-connection lanes; tests call handle()
+// directly.
 //
 // CLI parity contract: `eval` reproduces the exact RNG sequence of the
 // one-shot CLI paths, so a served estimate with a fixed (params, seed,
@@ -36,7 +37,7 @@ struct RouterConfig {
     /// (0 = auto: one per hardware thread, like the CLI).
     std::size_t eval_threads = 1;
     /// Admission sanity cap on per-request replications (bad clients
-    /// should get an error, not a day-long eval hogging the dispatcher).
+    /// should get an error, not a day-long eval hogging a worker).
     /// Also clamps the adaptive-mode ceiling (`max_replications` param).
     std::size_t max_replications = 1'000'000;
     /// Default ε for the certified windowed inner tally when an eval
@@ -56,9 +57,7 @@ public:
     Router(RouterConfig config, InstanceCache& cache, ServeStatus* status = nullptr);
 
     /// The id-free half of a response: what execution produced, before
-    /// rendering against a particular request id.  The micro-batcher
-    /// computes one Outcome for a group of identical eval requests and
-    /// renders it once per member.
+    /// rendering against a particular request id.
     struct Outcome {
         bool ok = false;
         json::Object result;                       ///< when ok

@@ -1,42 +1,13 @@
 #include "ld/serve/server.hpp"
 
-#include <atomic>
 #include <fstream>
-#include <unordered_map>
 #include <utility>
 
 #include "support/metrics.hpp"
 #include "support/signal_drain.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ld::serve {
-
-namespace {
-
-/// Monotone tag appended to every instance.patch dedup key: two patches
-/// with byte-identical params are still two distinct state advances
-/// (each bumps the epoch), so they must never share one execution the
-/// way identical evals do.
-std::atomic<std::uint64_t> patch_sequence{0};
-
-/// Params identity used to deduplicate evals inside a micro-batch.
-/// json::Object is a std::map, so dump() is key-order canonical:
-/// identical params always produce identical keys.  Requests that spell
-/// a default out versus omitting it get different keys — dedup is an
-/// optimisation, never a correctness requirement.
-std::string dedup_key_of(const Request& request) {
-    return request.method + '\x1f' + json::dump(request.params);
-}
-
-/// Batch grouping key: the cached-instance fingerprint.  Inline-spec
-/// evals return "" and are never grouped (they share no warm state).
-std::string batch_key_of(const Request& request) {
-    if (!request.params.is_object()) return {};
-    const json::Value* instance = request.params.find("instance");
-    if (instance && instance->is_string()) return instance->as_string();
-    return {};
-}
-
-}  // namespace
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
@@ -80,7 +51,12 @@ void Server::start() {
     front_->start();  // throws NetError if a bind fails; nothing to undo yet
     tcp_port_ = front_->tcp_port();
     started_ = true;
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
+    const std::size_t worker_count = support::ThreadPool::global().worker_count();
+    for (std::size_t i = 0; i < worker_count; ++i) {
+        workers_.push_back(std::make_unique<Worker>());
+        Worker& worker = *workers_.back();
+        worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+    }
 }
 
 void Server::request_drain() {
@@ -111,25 +87,27 @@ void Server::do_drain() {
     if (front_) front_->stop_accepting();
 
     // 2. Finish in-flight work.  The draining flag makes every new eval
-    //    a `shutting_down` rejection, so the queue only shrinks.  Settle
-    //    the event loop so each request line that was readable when the
-    //    drain began has been admitted or rejected, wait for the
-    //    dispatcher to empty the queue, and iterate: settling can
-    //    surface a last round of already-sent requests.
+    //    and patch a `shutting_down` rejection.  Settle the event loop so
+    //    each request line that was readable when the drain began has
+    //    been queued or rejected, wait for the workers to empty every
+    //    lane, and iterate: settling can surface a last round of
+    //    already-sent requests.
     while (true) {
         {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            idle_cv_.wait(lock, [this] { return queue_.empty() && !dispatcher_busy_; });
+            std::unique_lock<std::mutex> lock(mutex_);
+            idle_cv_.wait(lock, [this] { return lanes_.empty(); });
         }
         if (front_) front_->settle_inputs();
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        if (queue_.empty() && !dispatcher_busy_) {
-            stop_dispatcher_ = true;
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (lanes_.empty()) {
+            stop_workers_ = true;
             break;
         }
     }
-    queue_cv_.notify_all();
-    if (dispatcher_.joinable()) dispatcher_.join();
+    for (auto& worker : workers_) {
+        worker->wake.notify_one();
+        if (worker->thread.joinable()) worker->thread.join();
+    }
 
     // 3. Deliver every buffered response (bounded — stalled peers are
     //    swept by the loop tick meanwhile), then close all connections
@@ -161,12 +139,17 @@ Request Server::parse_with_default_deadline(const std::string& line) {
     return request;
 }
 
-bool Server::try_admit_locked() const { return queue_.size() < config_.queue_capacity; }
-
 void Server::set_queue_depth_locked() {
-    const auto depth = static_cast<std::int64_t>(queue_.size());
+    const auto depth = static_cast<std::int64_t>(queued_);
     status_.queue_depth.store(depth, std::memory_order_relaxed);
     support::MetricsRegistry::global().gauge("serve.queue_depth").set(depth);
+}
+
+std::string Server::overloaded_error(const json::Value& id) {
+    support::MetricsRegistry::global().counter("serve.rejected_overload").add(1);
+    return render_error(id, ErrorCode::Overloaded,
+                        "admission queue full (capacity " +
+                            std::to_string(config_.queue_capacity) + "); retry later");
 }
 
 void Server::refresh_loop_gauges() {
@@ -189,171 +172,101 @@ void Server::handle_connection_line(const std::shared_ptr<Conn>& conn,
         return;
     }
 
-    const bool is_eval = request.method == "eval";
-    const bool is_load = request.method == "instance.load";
-    // instance.patch rides the eval queue: it shares the per-instance
-    // batch key, so patches and evals on one live session execute in
-    // admission (FIFO) order — an eval admitted after a patch sees the
-    // patched state.
-    const bool is_patch = request.method == "instance.patch";
-    if (!is_eval && !is_load && !is_patch) {
-        // Cheap control-plane methods execute inline on the loop thread:
-        // health and shutdown must answer even when the eval queue is
-        // saturated.
-        if (request.method == "metrics") refresh_loop_gauges();
+    const std::string& method = request.method;
+    const bool admitted = method == "eval" || method == "instance.patch";
+    const bool is_read = method == "instance.state" || method == "instance.info";
+    if (!admitted && !is_read && method != "instance.load") {
+        // health, metrics and shutdown answer inline on the loop thread,
+        // even when every lane is saturated.
+        if (method == "metrics") refresh_loop_gauges();
         conn->send(router_.handle(request));
         return;
     }
 
-    if ((is_eval || is_patch) && draining()) {
-        conn->send(render_error(request.id, ErrorCode::ShuttingDown,
-                                "server is draining"));
-        return;
-    }
     bool shutting_down = false;
     bool overloaded = false;
     bool run_inline = false;
+    Worker* handoff = nullptr;
     {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        // Authoritative drain check: the fast-path check above races
-        // with do_drain, which observes an empty queue and sets
-        // stop_dispatcher_ under this mutex.  A request enqueued after
-        // that point would never be dispatched — so re-check here;
-        // evals are rejected, instance.load falls back to running
-        // inline (it is valid during a drain, matching the old
-        // connection-thread behavior).
-        if (stop_dispatcher_ || draining()) {
-            if (is_eval || is_patch) {
-                shutting_down = true;
-            } else {
-                run_inline = true;
-            }
-        } else if ((is_eval || is_patch) && !try_admit_locked()) {
-            // The admission bound applies to evals and patches only:
-            // instance.load is control plane and must never be
-            // `overloaded`.
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto found = lanes_.find(conn.get());
+        const bool idle = found == lanes_.end();
+        // Once stop_workers_ is set every lane is empty and no worker is
+        // left: loads, states and infos run inline, still in order.
+        if (admitted && draining()) {
+            shutting_down = true;
+        } else if (stop_workers_ || (is_read && idle)) {
+            run_inline = true;
+        } else if (admitted && queued_ >= config_.queue_capacity) {
+            // The admission bound applies to evals and patches only.
             overloaded = true;
         } else {
-            QueuedEval queued;
-            queued.batch_key = batch_key_of(request);
-            queued.dedup_key = dedup_key_of(request);
-            if (is_patch) {
-                queued.dedup_key +=
-                    '\x1f' + std::to_string(patch_sequence.fetch_add(
-                                 1, std::memory_order_relaxed));
+            Lane& lane = idle ? lanes_[conn.get()] : found->second;
+            if (idle) {
+                // A lane that just became busy goes to the most recently
+                // parked worker, or waits its turn behind the ready lanes.
+                lane.conn = conn;
+                if (parked_.empty()) {
+                    ready_.push_back(&lane);
+                } else {
+                    handoff = parked_.back();
+                    parked_.pop_back();
+                    handoff->lane = &lane;
+                }
             }
-            queued.request = std::move(request);
-            queued.conn = conn;
+            lane.pending.push_back(std::move(request));
+            ++queued_;
             conn->add_inflight();
-            queue_.push_back(std::move(queued));
             set_queue_depth_locked();
-            if (is_eval || is_patch) registry.counter("serve.admitted").add(1);
+            if (admitted) registry.counter("serve.admitted").add(1);
         }
     }
+    if (handoff) handoff->wake.notify_one();
     if (shutting_down) {
         conn->send(render_error(request.id, ErrorCode::ShuttingDown,
                                 "server is draining"));
-        return;
-    }
-    if (run_inline) {
+    } else if (run_inline) {
         conn->send(router_.handle(request));
-        return;
+    } else if (overloaded) {
+        conn->send(overloaded_error(request.id));
     }
-    if (overloaded) {
-        registry.counter("serve.rejected_overload").add(1);
-        conn->send(render_error(request.id, ErrorCode::Overloaded,
-                                "admission queue full (capacity " +
-                                    std::to_string(config_.queue_capacity) +
-                                    "); retry later"));
-        return;
-    }
-    queue_cv_.notify_one();
 }
 
-void Server::dispatcher_loop() {
+void Server::worker_loop(Worker& self) {
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        std::vector<QueuedEval> batch;
-        {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            queue_cv_.wait(lock, [this] { return stop_dispatcher_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                if (stop_dispatcher_) break;
-                continue;
-            }
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            // Coalesce queued evals on the same cached instance into this
-            // pass (order across different instances is not preserved —
-            // responses are id-matched, so clients do not care).
-            if (!batch.front().batch_key.empty()) {
-                for (auto it = queue_.begin();
-                     it != queue_.end() && batch.size() < config_.batch_max;) {
-                    if (it->batch_key == batch.front().batch_key) {
-                        batch.push_back(std::move(*it));
-                        it = queue_.erase(it);
-                    } else {
-                        ++it;
-                    }
-                }
-            }
-            dispatcher_busy_ = true;
-            set_queue_depth_locked();
+        Lane* lane = std::exchange(self.lane, nullptr);
+        if (!lane && !ready_.empty()) {
+            lane = ready_.front();
+            ready_.pop_front();
         }
-
-        execute_batch(batch);
-
-        {
-            std::lock_guard<std::mutex> lock(queue_mutex_);
-            dispatcher_busy_ = false;
-        }
-        idle_cv_.notify_all();
-    }
-    idle_cv_.notify_all();
-}
-
-void Server::execute_batch(std::vector<QueuedEval>& batch) {
-    auto& registry = support::MetricsRegistry::global();
-    registry.counter("serve.batches").add(1);
-    if (batch.size() > 1) {
-        registry.counter("serve.batched_evals").add(batch.size());
-    }
-    // Coalescing effectiveness: distribution of same-instance batch
-    // sizes the dispatcher actually formed (1 = no coalescing happened).
-    registry.histogram("dispatch.batch_size")
-        .record(static_cast<double>(batch.size()));
-
-    // Identical requests are computed once; every further waiter gets the
-    // shared outcome rendered against its own id.  This is the batching
-    // payoff: N clients polling the same (instance, mechanism, seed)
-    // share one replication sweep on the pool.
-    std::unordered_map<std::string, Router::Outcome> computed;
-    for (QueuedEval& item : batch) {
-        const bool is_eval = item.request.method != "instance.load";
-        const auto now = std::chrono::steady_clock::now();
-        if (is_eval && item.request.expired(now)) {
-            registry.counter("serve.rejected_deadline").add(1);
-            item.conn->send(render_error(item.request.id, ErrorCode::DeadlineExceeded,
-                                         "deadline expired in the queue"));
-            item.conn->finish_inflight();
+        if (!lane) {
+            if (stop_workers_) return;
+            parked_.push_back(&self);
+            self.wake.wait(lock, [&] { return self.lane || stop_workers_; });
             continue;
         }
-        const auto found = computed.find(item.dedup_key);
-        const bool shared = found != computed.end();
-        if (shared) registry.counter("serve.dedup_shared").add(1);
-        const Router::Outcome& outcome =
-            shared ? found->second
-                   : computed.emplace(item.dedup_key, router_.execute(item.request))
-                         .first->second;
-        if (is_eval && outcome.ok &&
-            item.request.expired(std::chrono::steady_clock::now())) {
-            registry.counter("serve.rejected_deadline").add(1);
-            item.conn->send(render_error(item.request.id, ErrorCode::DeadlineExceeded,
-                                         "deadline expired during execution"));
-            item.conn->finish_inflight();
-            continue;
+
+        const std::shared_ptr<Conn> conn = lane->conn;
+        const Request request = std::move(lane->pending.front());
+        lane->pending.pop_front();
+        --queued_;
+        set_queue_depth_locked();
+        lock.unlock();
+        // instance.load is control plane: it runs even past a deadline.
+        conn->send(request.method == "instance.load"
+                       ? Router::render(request.id, router_.execute(request))
+                       : router_.handle(request));
+        conn->finish_inflight();
+        lock.lock();
+
+        // One request per turn: a lane with more work goes to the back.
+        if (!lane->pending.empty()) {
+            ready_.push_back(lane);
+        } else {
+            lanes_.erase(conn.get());
+            if (lanes_.empty()) idle_cv_.notify_all();
         }
-        item.conn->send(Router::render(item.request.id, outcome));
-        item.conn->finish_inflight();
     }
 }
 
@@ -374,16 +287,10 @@ std::string Server::handle_line(const std::string& line) {
         }
         std::size_t depth = 0;
         {
-            std::lock_guard<std::mutex> lock(queue_mutex_);
-            depth = queue_.size();
+            std::lock_guard<std::mutex> lock(mutex_);
+            depth = queued_;
         }
-        if (depth >= config_.queue_capacity) {
-            registry.counter("serve.rejected_overload").add(1);
-            return render_error(request.id, ErrorCode::Overloaded,
-                                "admission queue full (capacity " +
-                                    std::to_string(config_.queue_capacity) +
-                                    "); retry later");
-        }
+        if (depth >= config_.queue_capacity) return overloaded_error(request.id);
         registry.counter("serve.admitted").add(1);
     }
     if (request.method == "metrics") refresh_loop_gauges();

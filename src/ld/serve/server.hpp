@@ -1,28 +1,30 @@
 // The `liquidd serve` long-running evaluation server.
 //
-// Threading model (down from ~one thread per connection to two):
+// Threading model: one event-loop thread plus W workers, W being the
+// shared ThreadPool's worker count (one per hardware thread):
 //
 //   event-loop thread  owned by the EventFront: accepts clients, frames
-//                      request lines, flushes responses.  Cheap methods
-//                      (instance.info, metrics, health, shutdown)
-//                      execute inline on this thread; `eval` goes
-//                      through admission into the bounded queue — or is
-//                      rejected with `overloaded` when the queue is
-//                      full, which is the whole backpressure story: the
-//                      server never buffers more than queue_capacity
-//                      evals.  `instance.load` also hops to the
-//                      dispatcher (bypassing the admission bound — it
-//                      is control plane, never `overloaded`) so a large
-//                      instance realization cannot stall the loop.
-//                      Response writes are buffered per connection and
-//                      policed by write_timeout: a peer that stops
-//                      reading is dropped, never allowed to wedge the
-//                      dispatcher or a drain.
-//   dispatcher thread  pops evals, coalesces up to batch_max requests
-//                      that target the same cached instance into one
-//                      micro-batch (identical requests are computed once
-//                      and fanned back to every waiter), and runs them
-//                      on the shared ReplicationEngine/ThreadPool.
+//                      request lines, flushes responses.  health,
+//                      metrics and shutdown execute inline here, and so
+//                      do instance.state and instance.info when their
+//                      connection has nothing queued or running.  Every
+//                      other eval or instance.* request joins its
+//                      connection's lane; evals and patches pass
+//                      admission first — `overloaded` once
+//                      queue_capacity requests wait, which is the whole
+//                      backpressure story.  Response writes are buffered
+//                      per connection and policed by write_timeout: a
+//                      peer that stops reading is dropped, never allowed
+//                      to wedge a worker or a drain.
+//   W workers          serve one FIFO lane per busy connection, one
+//                      request per turn, round-robin.  One worker at a
+//                      time holds a lane, so a connection's requests run
+//                      and answer in the order sent while different
+//                      connections run concurrently.  An idle worker
+//                      parks on its own condition variable, on a LIFO
+//                      stack, and a newly busy lane goes to the most
+//                      recently parked worker: a lone connection keeps
+//                      one warm thread.
 //
 // Graceful drain (SIGTERM/SIGINT via support::SignalDrain — its wake fd
 // is watched by the event loop —, the `shutdown` RPC, or
@@ -43,6 +45,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "ld/serve/event_front.hpp"
@@ -59,12 +62,10 @@ struct ServerConfig {
     /// TCP loopback port; 0 picks an ephemeral port (readable via
     /// Server::tcp_port after start()).  nullopt = no TCP listener.
     std::optional<std::uint16_t> tcp_port;
-    /// Admission bound: evals queued beyond this are rejected with
-    /// `overloaded`.  0 rejects every eval (useful in tests).
+    /// Admission bound: once this many requests wait in the lanes, evals
+    /// and patches are rejected with `overloaded`.  0 rejects every eval
+    /// (useful in tests).
     std::size_t queue_capacity = 128;
-    /// Micro-batch bound: evals per dispatcher pass sharing one warm
-    /// instance.
-    std::size_t batch_max = 16;
     /// Default EvalOptions::threads for requests that name none (0 =
     /// auto, one per hardware thread).
     std::size_t eval_threads = 0;
@@ -78,8 +79,8 @@ struct ServerConfig {
     std::chrono::milliseconds default_deadline{0};
     /// Bound on how long a response may sit unflushed because the
     /// client's socket buffer stays full (it stopped reading): such a
-    /// peer is dropped, so it can never head-of-line-block the
-    /// dispatcher or hang a drain (0 = buffer indefinitely).
+    /// peer is dropped, so it can never head-of-line-block a worker or
+    /// hang a drain (0 = buffer indefinitely).
     std::chrono::milliseconds write_timeout{5'000};
     /// Watch support::SignalDrain's wake pipe and drain on SIGINT/SIGTERM
     /// (the caller installs the handler; see cli::run_serve).
@@ -99,7 +100,7 @@ public:
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /// Bind listeners and spawn the event-loop/dispatcher threads.
+    /// Bind listeners and spawn the event-loop and worker threads.
     /// Throws support::net::NetError when a bind fails.  On return the
     /// listeners are accepting.
     void start();
@@ -129,20 +130,25 @@ public:
     const ServerConfig& config() const noexcept { return config_; }
 
 private:
-    struct QueuedEval {
-        Request request;
+    /// One connection's requests in arrival order.  A lane exists while
+    /// it has work queued or running, and one worker at a time serves it.
+    struct Lane {
         std::shared_ptr<Conn> conn;
-        std::string batch_key;  ///< instance fingerprint ("" = never batched)
-        std::string dedup_key;  ///< full params identity
+        std::deque<Request> pending;
+    };
+    struct Worker {
+        std::condition_variable wake;
+        Lane* lane = nullptr;  ///< handed over while parked
+        std::thread thread;
     };
 
     void handle_connection_line(const std::shared_ptr<Conn>& conn,
                                 const std::string& line);
-    void dispatcher_loop();
-    void execute_batch(std::vector<QueuedEval>& batch);
+    void worker_loop(Worker& self);
     Request parse_with_default_deadline(const std::string& line);
-    bool try_admit_locked() const;  ///< queue_mutex_ held
-    void set_queue_depth_locked();  ///< queue_mutex_ held
+    void set_queue_depth_locked();  ///< mutex_ held
+    /// The `overloaded` response for `id`; counts the rejection.
+    std::string overloaded_error(const json::Value& id);
     void refresh_loop_gauges();
     void do_drain();
 
@@ -154,14 +160,16 @@ private:
     std::unique_ptr<EventFront> front_;
     std::uint16_t tcp_port_ = 0;
 
-    std::thread dispatcher_;
-
-    std::mutex queue_mutex_;
-    std::condition_variable queue_cv_;   ///< dispatcher wakeups
-    std::condition_variable idle_cv_;    ///< drain waits for empty + idle
-    std::deque<QueuedEval> queue_;
-    bool dispatcher_busy_ = false;
-    bool stop_dispatcher_ = false;
+    std::mutex mutex_;
+    std::condition_variable idle_cv_;  ///< drain waits for no lanes
+    /// Busy lanes by connection.  Node-based, so a Lane* stays valid
+    /// until its lane is erased.
+    std::unordered_map<const Conn*, Lane> lanes_;
+    std::deque<Lane*> ready_;      ///< lanes with work that no worker holds
+    std::vector<Worker*> parked_;  ///< idle workers, most recent last
+    std::vector<std::unique_ptr<Worker>> workers_;
+    std::size_t queued_ = 0;  ///< requests in lanes, not yet running
+    bool stop_workers_ = false;
 
     std::mutex drain_mutex_;
     std::condition_variable drain_cv_;

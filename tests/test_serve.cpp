@@ -1,9 +1,10 @@
 // Tests for the serve subsystem: liquidd.rpc.v1 parsing and rendering,
 // router method dispatch and error mapping, the CLI-parity contract
 // (served evals bit-identical to the one-shot paths), deadline and
-// admission-control semantics, the instance cache, graceful drain over a
-// real Unix socket, the SignalDrain helper, and the subcommand dispatch
-// the serve CLI hangs off.
+// admission-control semantics, the instance cache, graceful drain,
+// per-connection ordering and cross-connection concurrency over a real
+// Unix socket, the SignalDrain helper, and the subcommand dispatch the
+// serve CLI hangs off.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,6 +35,7 @@
 #include "support/metrics.hpp"
 #include "support/net.hpp"
 #include "support/signal_drain.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -608,7 +611,7 @@ TEST(ServeServer, SlowReaderIsDroppedNotHeadOfLineBlocking) {
     }
 
     // The server must still serve other clients and drain promptly;
-    // with a wedged dispatcher or reader this would hang, not pass.
+    // with a wedged worker or reader this would hang, not pass.
     net::Socket healthy = net::connect_unix(server.config().unix_socket);
     net::LineReader reader(healthy);
     std::string response;
@@ -666,6 +669,152 @@ TEST(ServeServer, DrainUnderLoadAnswersEveryAcceptedRequest) {
     }
     EXPECT_EQ(answered, kBurst);
     EXPECT_EQ(ok + shutting_down, kBurst);
+    EXPECT_EQ(server.wait(), 0);
+}
+
+std::string request_line(double id, const std::string& method, json::Object params) {
+    json::Object request;
+    request.emplace("id", json::Value(id));
+    request.emplace("method", json::Value(method));
+    request.emplace("params", json::Value(std::move(params)));
+    return json::dump(json::Value(std::move(request)));
+}
+
+/// One client session on its own live instance (dregular:8, n = 2000,
+/// instance seed `seed`), as request lines: load → info → eval → five
+/// patch/state pairs.  `methods[i]` is the method of request id i + 1.
+std::string pipelined_session(std::uint64_t seed, std::vector<std::string>& methods) {
+    constexpr std::size_t kLiveN = 2000;
+    const std::string fingerprint = serve::InstanceCache::fingerprint(
+        "dregular:8", kCompetencies, kLiveN, kAlpha, seed);
+    const auto instance_params = [&] {
+        json::Object params;
+        params.emplace("instance", json::Value(fingerprint));
+        return params;
+    };
+    std::string burst;
+    const auto add = [&](const std::string& method, json::Object params) {
+        methods.push_back(method);
+        const double id = static_cast<double>(methods.size());
+        burst += request_line(id, method, std::move(params)) + '\n';
+    };
+    json::Object load;
+    load.emplace("graph", json::Value(std::string("dregular:8")));
+    load.emplace("competencies", json::Value(std::string(kCompetencies)));
+    load.emplace("n", json::Value(static_cast<double>(kLiveN)));
+    load.emplace("alpha", json::Value(kAlpha));
+    load.emplace("seed", json::Value(static_cast<double>(seed)));
+    add("instance.load", std::move(load));
+    add("instance.info", instance_params());
+    json::Object eval = instance_params();
+    eval.emplace("mechanism", json::Value(std::string(kMechanism)));
+    eval.emplace("replications", json::Value(4.0));
+    eval.emplace("threads", json::Value(1.0));
+    add("eval", std::move(eval));
+    for (int voter = 0; voter < 5; ++voter) {
+        json::Object op;
+        op.emplace("op", json::Value(std::string(voter % 2 ? "vote" : "abstain")));
+        op.emplace("voter", json::Value(static_cast<double>(voter)));
+        json::Object patch = instance_params();
+        patch.emplace("ops", json::Value(json::Array{json::Value(std::move(op))}));
+        add("instance.patch", std::move(patch));
+        add("instance.state", instance_params());
+    }
+    return burst;
+}
+
+TEST(ServeServer, PipelinedRequestsRunInConnectionOrder) {
+    serve::ServerConfig config;
+    config.unix_socket = socket_path("ordered");
+    serve::Server server(std::move(config));
+    server.start();
+
+    // Three clients, each pipelining a whole session in one write, so
+    // the server reads every session in one pass and runs the three
+    // concurrently.  An info or state answered ahead of the load or
+    // patch before it would see not_found or a stale epoch.
+    constexpr std::size_t kClients = 3;
+    std::vector<net::Socket> clients;
+    std::vector<net::LineReader> readers;
+    std::vector<std::vector<std::string>> methods(kClients);
+    clients.reserve(kClients);
+    readers.reserve(kClients);
+    std::string line;
+    for (std::size_t c = 0; c < kClients; ++c) {
+        clients.push_back(net::connect_unix(server.config().unix_socket));
+        readers.emplace_back(clients.back());
+        ASSERT_TRUE(readers.back().read_line(line));  // handshake
+    }
+    for (std::size_t c = 0; c < kClients; ++c) {
+        clients[c].write_all(pipelined_session(kSeed + c, methods[c]));
+    }
+
+    for (std::size_t c = 0; c < kClients; ++c) {
+        double patched_epoch = -1.0;
+        for (std::size_t i = 0; i < methods[c].size(); ++i) {
+            ASSERT_TRUE(readers[c].read_line(line));
+            const json::Value response = json::parse(line);
+            const std::string& method = methods[c][i];
+            ASSERT_EQ(response.at("id").as_number(), static_cast<double>(i + 1))
+                << "response to " << method << " out of order: " << line;
+            ASSERT_TRUE(response.at("ok").as_bool()) << method << ": " << line;
+            const json::Value& result = response.at("result");
+            if (method == "instance.patch") {
+                patched_epoch = result.at("epoch").as_number();
+            } else if (method == "instance.state") {
+                EXPECT_EQ(result.at("epoch").as_number(), patched_epoch) << line;
+            }
+        }
+        EXPECT_EQ(patched_epoch, 5.0);
+    }
+
+    server.request_drain();
+    EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServeServer, SlowEvalDoesNotBlockOtherConnections) {
+    if (ld::support::ThreadPool::global().worker_count() < 2) {
+        GTEST_SKIP() << "one worker serves every connection in turn";
+    }
+    serve::ServerConfig config;
+    config.unix_socket = socket_path("lanes");
+    serve::Server server(std::move(config));
+    server.start();
+
+    net::Socket slow = net::connect_unix(server.config().unix_socket);
+    net::Socket quick = net::connect_unix(server.config().unix_socket);
+    net::LineReader slow_reader(slow);
+    net::LineReader quick_reader(quick);
+    std::string line;
+    ASSERT_TRUE(slow_reader.read_line(line));  // handshakes
+    ASSERT_TRUE(quick_reader.read_line(line));
+
+    // A: an inline eval of several hundred milliseconds on one thread.
+    // Its connection's health answer proves the server took the eval
+    // line before B's.
+    json::Object slow_eval = eval_params();
+    slow_eval["n"] = json::Value(400.0);
+    slow_eval["replications"] = json::Value(20000.0);
+    slow.write_all(request_line(1, "eval", std::move(slow_eval)) + '\n' +
+                   request_line(2, "health", json::Object{}) + '\n');
+    ASSERT_TRUE(slow_reader.read_line(line));
+    ASSERT_EQ(json::parse(line).at("id").as_number(), 2.0) << line;
+
+    // B: one replication.  It must come back while A still runs.
+    json::Object quick_eval = eval_params();
+    quick_eval["replications"] = json::Value(1.0);
+    net::write_line(quick, request_line(3, "eval", std::move(quick_eval)));
+    ASSERT_TRUE(quick_reader.read_line(line));
+    EXPECT_TRUE(json::parse(line).at("ok").as_bool()) << line;
+    pollfd pending{slow.fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pending, 1, 0), 0) << "A answered before B";
+
+    ASSERT_TRUE(slow_reader.read_line(line));
+    const json::Value slow_response = json::parse(line);
+    EXPECT_EQ(slow_response.at("id").as_number(), 1.0);
+    EXPECT_TRUE(slow_response.at("ok").as_bool()) << line;
+
+    server.request_drain();
     EXPECT_EQ(server.wait(), 0);
 }
 
@@ -731,8 +880,6 @@ TEST(ServeCli, VersionPrintsBuildInfo) {
 TEST(ServeCli, ServeOptionsValidate) {
     EXPECT_THROW(ld::cli::parse_serve_options({}), ld::cli::SpecError);
     EXPECT_THROW(ld::cli::parse_serve_options({"--tcp", "70000"}), ld::cli::SpecError);
-    EXPECT_THROW(ld::cli::parse_serve_options({"--socket", "/tmp/x", "--batch-max", "0"}),
-                 ld::cli::SpecError);
     const auto options = ld::cli::parse_serve_options(
         {"--socket", "/tmp/x.sock", "--tcp", "0", "--queue-capacity", "7",
          "--deadline-ms", "1500"});

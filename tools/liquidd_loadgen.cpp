@@ -21,7 +21,7 @@
 //
 // `--preload '<instance.load params>'` loads an instance first and
 // substitutes its fingerprint for the string "@instance" in templates,
-// so request files can exercise the micro-batched cached-eval path
+// so request files can exercise the cached-eval path
 // without knowing fingerprints up front.
 //
 // `--slo-p99-ms <t>` and `--min-qps <q>` turn the summary into a CI
