@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "ld/election/evaluator.hpp"
@@ -27,10 +28,16 @@ using namespace ld;
 /// Adversarial capped delegation: the `budget` *least* competent voters
 /// delegate to the single most competent voter.  This is the worst case in
 /// the Lemma 3 proof (all delegated votes correlated on one sink) while
-/// still respecting approval.
+/// still respecting approval.  Voters are ranked once, on the instance the
+/// mechanism is built for; act() must be called on that instance.
 class CappedWorstCase final : public mech::Mechanism {
 public:
-    explicit CappedWorstCase(std::size_t budget) : budget_(budget) {}
+    CappedWorstCase(const model::Instance& inst, std::size_t budget)
+        : budget_(budget), rank_(inst.voter_count()) {
+        const auto order = inst.competencies().ascending_order();
+        for (std::size_t r = 0; r < order.size(); ++r) rank_[order[r]] = r;
+        top_ = static_cast<graph::Vertex>(order.back());
+    }
 
     std::string name() const override {
         return "CappedWorstCase(" + std::to_string(budget_) + ")";
@@ -38,22 +45,17 @@ public:
 
     mech::Action act(const model::Instance& inst, graph::Vertex v,
                      rng::Rng&) const override {
-        const auto order = inst.competencies().ascending_order();
-        // rank of v among voters by competency
-        std::size_t rank = 0;
-        for (; rank < order.size(); ++rank) {
-            if (order[rank] == v) break;
-        }
-        if (rank >= budget_) return mech::Action::vote();
-        const auto top = static_cast<graph::Vertex>(order.back());
-        if (inst.competency(v) + inst.alpha() <= inst.competency(top) && top != v) {
-            return mech::Action::delegate_to(top);
+        if (rank_[v] >= budget_) return mech::Action::vote();
+        if (inst.competency(v) + inst.alpha() <= inst.competency(top_) && top_ != v) {
+            return mech::Action::delegate_to(top_);
         }
         return mech::Action::vote();
     }
 
 private:
     std::size_t budget_;
+    std::vector<std::size_t> rank_;  ///< rank_[v]: v's place in ascending order
+    graph::Vertex top_;              ///< the most competent voter
 };
 
 }  // namespace
@@ -87,7 +89,7 @@ int main() {
         for (const auto& [rule, budget] :
              {std::pair<std::string, std::size_t>{"n^{1/2-eps}", within},
               std::pair<std::string, std::size_t>{"0.4n", over}}) {
-            const CappedWorstCase mechanism(budget);
+            const CappedWorstCase mechanism(inst, budget);
             const auto report = election::estimate_gain(mechanism, inst, rng, opts);
             const double flip = prob::lemma3_flip_probability(
                 n, kBeta, 2.0 * static_cast<double>(budget));

@@ -73,14 +73,14 @@ BENCHMARK(BM_GenerateBarabasi)->Arg(1000)->Arg(10000);
 // Streaming facade throughput (docs/GENERATORS.md): full pipeline —
 // config -> streaming cells -> chunked CSR -> Graph.  Items/s counts
 // realized (deduplicated) edges, so families are comparable despite
-// with-replacement draws.
-template <gen::Family F>
+// with-replacement draws.  `Threads` 0 runs the passes on the whole pool.
+template <gen::Family F, std::size_t Threads = 1>
 void BM_GenerateStreaming(benchmark::State& state) {
     gen::GeneratorConfig config;
     config.family = F;
     config.n = static_cast<std::size_t>(state.range(0));
     config.seed = 17;
-    config.threads = 1;
+    config.threads = Threads;
     if constexpr (F == gen::Family::Gnp) config.p = 16.0 / static_cast<double>(config.n);
     if constexpr (F == gen::Family::BarabasiAlbert) config.degree = 8;
     if constexpr (F == gen::Family::Rmat) config.edges = config.n * 8;
@@ -103,6 +103,14 @@ BENCHMARK(BM_GenerateStreaming<gen::Family::Hyperbolic>)
     ->Name("BM_GenerateStreamingHyperbolic")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_GenerateStreaming<gen::Family::Rmat>)
     ->Name("BM_GenerateStreamingRmat")->Arg(10000)->Arg(100000);
+// Pooled rows: whether the degree and scatter passes keep every worker
+// busy on the heavy-tailed families (Chung–Lu's heavy rows, hyperbolic's
+// few unequal layer-pair cells).  UseRealTime so the fan-out shows as
+// wall-clock.
+BENCHMARK(BM_GenerateStreaming<gen::Family::ChungLu, 0>)
+    ->Name("BM_GenerateStreamingChungLuPooled")->Arg(200000)->UseRealTime();
+BENCHMARK(BM_GenerateStreaming<gen::Family::Hyperbolic, 0>)
+    ->Name("BM_GenerateStreamingHyperbolicPooled")->Arg(200000)->UseRealTime();
 
 void BM_RealizeDelegation(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

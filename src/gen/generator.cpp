@@ -1,5 +1,8 @@
 #include "gen/generator.hpp"
 
+#include <algorithm>
+#include <atomic>
+
 #include "support/expect.hpp"
 #include "support/thread_pool.hpp"
 
@@ -38,43 +41,37 @@ PassTotals StreamingGenerator::generate(EdgeSink& sink) {
                               : config_.threads;
     if (threads > owned) threads = owned == 0 ? 1 : owned;
 
-    PassTotals totals;
-    if (threads <= 1) {
+    // Workers claim runs of consecutive owned cells from one cursor until
+    // none are left, so a few heavy cells (Chung–Lu's high-weight rows)
+    // cannot pin one worker.  About 64 claims per worker even out uneven
+    // cells while keeping the shared cursor cold; families with few cells
+    // (hyperbolic) get one-cell runs.  Which worker emits a cell only
+    // affects emission order, which no sink's final CSR depends on.
+    const std::size_t run = std::max<std::size_t>(1, owned / (64 * threads));
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::uint64_t> edges{0};
+    std::atomic<std::uint64_t> chunks{0};
+    const auto drain = [&] {
         ChunkBuffer buffer(sink, config_.chunk_edges);
-        for (std::size_t c = shard.index; c < cells; c += shard.count) {
-            emit_cell(c, buffer);
-        }
-        buffer.flush();
-        totals.edges = buffer.edges_emitted();
-        totals.chunks = buffer.chunks_flushed();
-        return totals;
-    }
-
-    // Contiguous slices of the owned-cell progression, one buffer per
-    // worker.  Slicing only affects emission order, which no sink's
-    // final CSR depends on.
-    std::vector<PassTotals> worker_totals(threads);
-    support::TaskGroup group(support::ThreadPool::global());
-    for (std::size_t w = 0; w < threads; ++w) {
-        const std::size_t begin = owned * w / threads;
-        const std::size_t end = owned * (w + 1) / threads;
-        if (begin == end) continue;
-        group.submit([this, &sink, &worker_totals, w, begin, end, shard] {
-            ChunkBuffer buffer(sink, config_.chunk_edges);
+        for (std::size_t begin = cursor.fetch_add(run); begin < owned;
+             begin = cursor.fetch_add(run)) {
+            const std::size_t end = std::min(owned, begin + run);
             for (std::size_t i = begin; i < end; ++i) {
                 emit_cell(shard.index + i * shard.count, buffer);
             }
-            buffer.flush();
-            worker_totals[w].edges = buffer.edges_emitted();
-            worker_totals[w].chunks = buffer.chunks_flushed();
-        });
+        }
+        buffer.flush();
+        edges += buffer.edges_emitted();
+        chunks += buffer.chunks_flushed();
+    };
+    if (threads <= 1) {
+        drain();
+    } else {
+        support::TaskGroup group(support::ThreadPool::global());
+        for (std::size_t w = 0; w < threads; ++w) group.submit(drain);
+        group.wait();
     }
-    group.wait();
-    for (const PassTotals& t : worker_totals) {
-        totals.edges += t.edges;
-        totals.chunks += t.chunks;
-    }
-    return totals;
+    return PassTotals{edges.load(), chunks.load()};
 }
 
 }  // namespace ld::gen

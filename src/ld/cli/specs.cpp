@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <vector>
 
@@ -60,7 +61,9 @@ std::vector<double> parse_numbers(const std::string& text, std::size_t expected,
 }
 
 std::size_t as_count(double value, const std::string& context) {
-    if (value < 0.0 || value != static_cast<double>(static_cast<std::size_t>(value))) {
+    // Range-check before casting (casting NaN, inf or >= 2^64 is UB); NaN
+    // fails the first test.
+    if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value)) {
         throw SpecError(context + ": expected a non-negative integer");
     }
     return static_cast<std::size_t>(value);

@@ -1,5 +1,6 @@
 #include "ld/experiments/sweep.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -40,7 +41,9 @@ double require_number(const json::Value& v, const std::string& where) {
 
 std::size_t require_count(const json::Value& v, const std::string& where) {
     const double d = require_number(v, where);
-    if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
+    // Range-check before casting (casting NaN, inf or >= 2^64 is UB); NaN
+    // fails the first test.
+    if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d)) {
         spec_error(where, "expected a non-negative integer");
     }
     return static_cast<std::size_t>(d);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "support/expect.hpp"
 
@@ -17,16 +18,20 @@ CompetencyVector::CompetencyVector(std::vector<double> values)
         variance_sum_ += p * (1.0 - p);
     }
     if (!values_.empty()) mean_ /= static_cast<double>(values_.size());
-    order_.resize(values_.size());
-    for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+}
+
+std::vector<std::size_t> CompetencyVector::ascending_order() const {
+    std::vector<std::size_t> order(values_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
         return values_[a] < values_[b];
     });
+    return order;
 }
 
 double CompetencyVector::kth_smallest(std::size_t k) const {
-    expects(k < order_.size(), "kth_smallest: index out of range");
-    return values_[order_[k]];
+    expects(k < values_.size(), "kth_smallest: index out of range");
+    return values_[ascending_order()[k]];
 }
 
 double CompetencyVector::plausible_changeability() const noexcept {

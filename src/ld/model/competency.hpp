@@ -1,8 +1,7 @@
 // Competency vectors (paper §2.1): p_i ∈ [0,1] is voter v_i's probability
 // of voting for the correct outcome.  The paper orders voters so that
-// p_i <= p_j for i <= j ("wlog"); this type maintains a *sorted view*
-// alongside the raw vector so both the paper's index convention and
-// graph-aligned indexing are available.
+// p_i <= p_j for i <= j ("wlog"); this type stores graph-aligned values
+// and computes the paper's sorted order on request.
 //
 // Also hosts the two competency-side restrictions of Definition 1:
 //   PC = a           — plausible changeability: 3/4 >= mean(p) >= 1/2 + a,
@@ -34,10 +33,12 @@ public:
     std::span<const double> values() const noexcept { return values_; }
 
     /// Vertex ids sorted by ascending competency (ties by id) — the
-    /// paper's canonical ordering p_1 <= p_2 <= … <= p_n.
-    std::span<const std::size_t> ascending_order() const noexcept { return order_; }
+    /// paper's canonical ordering p_1 <= p_2 <= … <= p_n.  Sorts on every
+    /// call, O(n log n): callers that need it repeatedly keep the result.
+    std::vector<std::size_t> ascending_order() const;
 
     /// Competency of the k-th *least* competent voter (paper index k+1).
+    /// Sorts on every call, like ascending_order().
     double kth_smallest(std::size_t k) const;
 
     /// Mean competency.
@@ -70,7 +71,6 @@ public:
 
 private:
     std::vector<double> values_;
-    std::vector<std::size_t> order_;
     double mean_ = 0.0;
     double variance_sum_ = 0.0;
 };

@@ -65,8 +65,7 @@ RecycleGraph RecycleGraph::from_instance(const model::Instance& instance,
     const auto& p = instance.competencies();
 
     // Voters sorted by descending competency (the paper's v_1 = best).
-    std::vector<std::size_t> order(p.ascending_order().begin(),
-                                   p.ascending_order().end());
+    std::vector<std::size_t> order = p.ascending_order();
     std::reverse(order.begin(), order.end());
 
     std::vector<RecycleNode> nodes(n);

@@ -53,6 +53,16 @@ TEST(GraphSpecs, ErrorsAreDiagnosed) {
     EXPECT_THROW(cli::make_graph("file:/no/such/file", 5, rng), SpecError);
 }
 
+// Counts are range-checked before the cast to an integer (casting NaN, inf
+// or 1e300 to size_t is undefined), on the legacy heads and the facade.
+TEST(GraphSpecs, NonFiniteAndHugeCountsAreRejected) {
+    Rng rng(2);
+    EXPECT_THROW(cli::make_graph("dout:1e300", 10, rng), SpecError);
+    EXPECT_THROW(cli::make_graph("dregular:nan", 10, rng), SpecError);
+    EXPECT_THROW(cli::make_graph("ba:inf", 10, rng), SpecError);
+    EXPECT_THROW(cli::make_graph("rmat:nan", 16, rng), SpecError);
+}
+
 TEST(CompetencySpecs, BuildEveryProfile) {
     Rng rng(3);
     EXPECT_EQ(cli::make_competencies("uniform:0.2,0.8", 50, rng).size(), 50u);

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ld/cli/runner.hpp"
@@ -148,6 +149,34 @@ TEST(SweepSpec, MalformedSpecsAreDiagnosed) {
                  exp::SweepError);
     // Not JSON at all.
     EXPECT_THROW(json::parse("not json"), json::Error);
+}
+
+// Counts are range-checked before the cast to an integer (casting 1e300 or
+// 2^64 to size_t is undefined); the largest double below 2^64 still parses.
+TEST(SweepSpec, OutOfRangeCountsNameTheirKey) {
+    const auto spec_with = [](const std::string& fields, const std::string& n) {
+        return R"({"name": "x", )" + fields + R"("axes": {"n": )" + n +
+               R"(, "alpha": 0.1, "graph": "complete", "competencies": "const:0.6",
+               "mechanism": "direct"}})";
+    };
+    const std::pair<std::string, std::string> cases[] = {
+        {spec_with(R"("seed": 1e300, )", "10"), "seed"},
+        {spec_with(R"("seed": 18446744073709551616, )", "10"), "seed"},
+        {spec_with(R"("replications": 1e300, )", "10"), "replications"},
+        {spec_with("", "[10, 1e300]"), "axes.n"},
+    };
+    for (const auto& [text, key] : cases) {
+        try {
+            exp::SweepSpec::from_json(json::parse(text));
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const exp::SweepError& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "sweep spec: " + key + ": expected a non-negative integer");
+        }
+    }
+    const auto spec = exp::SweepSpec::from_json(
+        json::parse(spec_with(R"("seed": 18446744073709549568, )", "10")));
+    EXPECT_EQ(spec.seed, 18446744073709549568ULL);
 }
 
 TEST(SweepSpec, FingerprintTracksResultAffectingFields) {
