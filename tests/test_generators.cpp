@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "fnv1a.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "graph/restrictions.hpp"
@@ -20,6 +21,9 @@ using ld::graph::Graph;
 using ld::graph::Vertex;
 using ld::rng::Rng;
 using ld::support::ContractViolation;
+using ld::test::fnv1a_fold;
+using ld::test::fnv1a_fold_edges;
+using ld::test::kFnvOffset;
 namespace g = ld::graph;
 
 TEST(Complete, HasAllEdges) {
@@ -162,27 +166,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DRegularSweep,
                                            std::make_tuple(401, 6),
                                            std::make_tuple(1000, 16)));
 
-// FNV-1a over the little-endian bytes of `value`.
-template <typename T>
-void fnv1a_fold(std::uint64_t& hash, T value) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        hash ^= (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xffu;
-        hash *= 0x100000001b3ULL;
-    }
-}
-
 // Folds one seeded call: its edge list, or a marker when it used up its
 // restarts, then the caller's next draw, which pins the Rng position.
 void fold_d_regular_call(std::uint64_t& hash, std::uint64_t seed, std::size_t n,
                          std::size_t d) {
     Rng rng(seed);
     try {
-        const auto edges = g::make_random_d_regular(rng, n, d).edges();
-        fnv1a_fold(hash, edges.size());
-        for (const auto& e : edges) {
-            fnv1a_fold(hash, e.u);
-            fnv1a_fold(hash, e.v);
-        }
+        fnv1a_fold_edges(hash, g::make_random_d_regular(rng, n, d).edges());
     } catch (const std::runtime_error&) {
         fnv1a_fold(hash, ~std::uint64_t{0});
     }
@@ -194,8 +184,6 @@ struct DRegularDigest {
     std::size_t d;
     std::uint64_t digest;
 };
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 // Rand(n, d) instances are part of every seeded result, so the exact head
 // must keep producing the recorded graphs, the recorded exhausted-restart

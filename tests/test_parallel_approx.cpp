@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "fnv1a.hpp"
 #include "graph/generators.hpp"
 #include "ld/cli/specs.hpp"
 #include "ld/delegation/realize.hpp"
@@ -28,6 +28,8 @@ namespace mech = ld::mech;
 namespace model = ld::model;
 using ld::rng::Rng;
 using ld::support::ContractViolation;
+using ld::test::fnv1a_fold;
+using ld::test::kFnvOffset;
 
 model::Instance pc_instance(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
@@ -83,18 +85,6 @@ TEST(ParallelEval, ZeroThreadsRejected) {
     Rng rng(1);
     EXPECT_THROW(election::estimate_correct_probability(m, inst, rng, opts),
                  ContractViolation);
-}
-
-// FNV-1a over the little-endian bytes of a 64-bit value.
-void fnv1a_fold(std::uint64_t& hash, std::uint64_t value) {
-    for (std::size_t i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xffu;
-        hash *= 0x100000001b3ULL;
-    }
-}
-
-void fnv1a_fold(std::uint64_t& hash, double value) {
-    fnv1a_fold(hash, std::bit_cast<std::uint64_t>(value));
 }
 
 // The fields computed with +, −, ×, ÷ and sqrt alone.  The intervals
@@ -159,7 +149,7 @@ TEST(ParallelEval, ReportsMatchRecordedDigests) {
     const char* mechanisms[] = {"threshold:1", "multi:3,1", "abstain:0.2/threshold:1",
                                 "noisy:1,0.1"};
     for (const StopRule& rule : rules) {
-        std::uint64_t hash = 0xcbf29ce484222325ULL;
+        std::uint64_t hash = kFnvOffset;
         std::uint64_t seed = 1;
         for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
             for (const double eps : {1e-12, 0.0}) {
