@@ -461,7 +461,9 @@ void BM_EstimateGainCertified(benchmark::State& state) {
 BENCHMARK(BM_EstimateGainCertified);
 
 // Workspace reuse: realize_into through one ReplicationWorkspace (the
-// steady-state inner loop) vs the allocating realize() above.
+// steady-state inner loop) vs the allocating realize() above.  At
+// n = 2·10⁵ the per-voter arrays no longer fit in L2, the regime where
+// sink resolution dominates a sweep replication.
 void BM_RealizeDelegationWorkspace(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     rng::Rng rng(4);
@@ -473,7 +475,7 @@ void BM_RealizeDelegationWorkspace(benchmark::State& state) {
         benchmark::DoNotOptimize(ws.outcome);
     }
 }
-BENCHMARK(BM_RealizeDelegationWorkspace)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_RealizeDelegationWorkspace)->Arg(1000)->Arg(10000)->Arg(200000);
 
 void BM_EstimatorNaive(benchmark::State& state) {
     rng::Rng rng(7);

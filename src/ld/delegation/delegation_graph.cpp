@@ -16,15 +16,13 @@ DelegationOutcome::DelegationOutcome(std::vector<Action> actions,
                                      CyclePolicy cycle_policy)
     : actions_(std::move(actions)) {
     ResolveScratch scratch;
-    validate(initial_weights);
-    resolve(initial_weights, cycle_policy, scratch);
+    finish_rebuild(initial_weights, cycle_policy, scratch);
 }
 
 std::vector<Action>& DelegationOutcome::begin_rebuild() {
+    // finish_rebuild overwrites sink_ and weights_ in full.
     cycle_losses_ = 0;
     functional_ = true;
-    sink_.clear();
-    weights_.clear();
     voting_sinks_.clear();
     stats_ = DelegationStats{};
     return actions_;
@@ -33,18 +31,36 @@ std::vector<Action>& DelegationOutcome::begin_rebuild() {
 void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_weights,
                                        CyclePolicy cycle_policy,
                                        ResolveScratch& scratch) {
-    validate(initial_weights);
-    resolve(initial_weights, cycle_policy, scratch);
-}
-
-void DelegationOutcome::validate(std::span<const std::uint64_t> initial_weights) const {
-    expects(initial_weights.empty() || initial_weights.size() == actions_.size(),
+    const std::size_t n = actions_.size();
+    expects(initial_weights.empty() || initial_weights.size() == n,
             "DelegationOutcome: initial weights must be empty or one per voter");
-    for (const Action& a : actions_) {
+    const auto weight_of = [&](graph::Vertex v) -> std::uint64_t {
+        return initial_weights.empty() ? 1 : initial_weights[v];
+    };
+    // Walk states in sink_ besides a voter or kNoSink.  Voters lost to a
+    // cycle are kLost until the end, so later walks can tell them from
+    // voters drained into an abstainer.
+    constexpr graph::Vertex kUnresolved = kNoSink - 1;
+    constexpr graph::Vertex kOnChain = kNoSink - 2;
+    constexpr graph::Vertex kLost = kNoSink - 3;
+    auto& next = scratch.next;
+    auto& depth = scratch.depth;
+    auto& chain = scratch.chain;
+    next.resize(n);
+    depth.resize(n);
+    sink_.resize(n);
+    weights_.resize(n);
+
+    // The only pass over the actions: validate each one, count delegators
+    // and abstainers, and record its successor.  Voters who vote (or
+    // delegate to themselves) and abstainers are resolved on the spot.
+    for (graph::Vertex v = 0; v < n; ++v) {
+        const Action& a = actions_[v];
+        graph::Vertex to = v;
         if (a.kind == ActionKind::Delegate) {
             expects(!a.targets.empty(), "DelegationOutcome: delegation without target");
             for (graph::Vertex t : a.targets) {
-                expects(t < actions_.size(), "DelegationOutcome: target out of range");
+                expects(t < n, "DelegationOutcome: target out of range");
             }
             expects(a.target_weights.empty() ||
                         a.target_weights.size() == a.targets.size(),
@@ -52,102 +68,69 @@ void DelegationOutcome::validate(std::span<const std::uint64_t> initial_weights)
             for (double w : a.target_weights) {
                 expects(w > 0.0, "DelegationOutcome: target weights must be positive");
             }
+            ++stats_.delegator_count;
+            if (a.targets.size() > 1) functional_ = false;
+            to = a.targets.front();
         } else {
             expects(a.targets.empty(), "DelegationOutcome: non-delegation with targets");
             expects(a.target_weights.empty(),
                     "DelegationOutcome: non-delegation with target weights");
+            if (a.kind == ActionKind::Abstain) {
+                ++stats_.abstainer_count;
+                to = kNoSink;
+            }
         }
-    }
-}
-
-void DelegationOutcome::resolve(std::span<const std::uint64_t> initial_weights,
-                                CyclePolicy cycle_policy, ResolveScratch& scratch) {
-    const std::size_t n = actions_.size();
-    for (const Action& a : actions_) {
-        if (a.kind == ActionKind::Delegate) {
-            ++stats_.delegator_count;
-            if (a.targets.size() > 1) functional_ = false;
-        }
-        if (a.kind == ActionKind::Abstain) ++stats_.abstainer_count;
+        next[v] = to;
+        sink_[v] = to == v || to == kNoSink ? to : kUnresolved;
+        depth[v] = 0;
+        weights_[v] = to == v ? weight_of(v) : 0;
     }
     if (!functional_) return;  // multi-target: evaluator resolves by simulation
 
-    constexpr graph::Vertex kUnresolved = kNoSink - 1;
-    constexpr graph::Vertex kOnChain = kNoSink - 2;
-    sink_.assign(n, kUnresolved);
-    auto& depth = scratch.depth;
-    auto& lost_to_cycle = scratch.lost_to_cycle;
-    auto& chain = scratch.chain;
-    depth.assign(n, 0);
-    lost_to_cycle.assign(n, 0);
-    chain.clear();
+    std::uint32_t longest = 0;
     for (graph::Vertex start = 0; start < n; ++start) {
         if (sink_[start] != kUnresolved) continue;
+        // Walk until hitting a resolved voter or one on this walk.
         chain.clear();
         graph::Vertex v = start;
-        bool hit_cycle = false;
-        // Walk until hitting a terminal or an already-resolved voter.
-        while (true) {
-            if (sink_[v] == kOnChain) {
-                // Returned to a voter on the current chain: a cycle.
-                expects(cycle_policy == CyclePolicy::Discard,
-                        "DelegationOutcome: delegation cycle detected");
-                hit_cycle = true;
-                break;
-            }
-            if (sink_[v] != kUnresolved) break;  // resolved earlier
-            const Action& a = actions_[v];
-            if (a.kind == ActionKind::Vote) {
-                sink_[v] = v;
-                break;
-            }
-            if (a.kind == ActionKind::Abstain) {
-                sink_[v] = kNoSink;
-                break;
-            }
-            const graph::Vertex next = a.targets.front();
-            if (next == v) {  // self-delegation counts as voting
-                sink_[v] = v;
-                break;
-            }
+        do {
             sink_[v] = kOnChain;
             chain.push_back(v);
-            invariant(chain.size() <= n, "delegation chain longer than voter count");
-            v = next;
+            v = next[v];
+        } while (sink_[v] == kUnresolved);
+        graph::Vertex terminal = sink_[v];
+        std::uint32_t d = depth[v];
+        if (terminal == kOnChain) {  // back on this walk: a cycle
+            expects(cycle_policy == CyclePolicy::Discard,
+                    "DelegationOutcome: delegation cycle detected");
+            terminal = kLost;
+            d = 0;
         }
         // Path-compress the walked chain onto the discovered terminal.
-        const bool lost = hit_cycle || (sink_[v] == kNoSink && lost_to_cycle[v]);
-        const graph::Vertex terminal = hit_cycle ? kNoSink : sink_[v];
-        std::size_t base_depth = hit_cycle ? 0 : depth[v];
+        std::uint64_t pooled = 0;
         for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
             sink_[*it] = terminal;
-            depth[*it] = ++base_depth;
-            if (lost) {
-                lost_to_cycle[*it] = 1;
-                ++cycle_losses_;
-            }
+            depth[*it] = ++d;
+            pooled += weight_of(*it);
+        }
+        longest = std::max(longest, d);
+        if (terminal == kLost) {
+            cycle_losses_ += chain.size();
+        } else if (terminal != kNoSink) {
+            weights_[terminal] += pooled;
         }
     }
+    if (cycle_losses_ > 0) std::replace(sink_.begin(), sink_.end(), kLost, kNoSink);
 
-    weights_.assign(n, 0);
     for (graph::Vertex v = 0; v < n; ++v) {
-        stats_.longest_path = std::max(stats_.longest_path, depth[v]);
-        if (sink_[v] != kNoSink) {
-            weights_[sink_[v]] += initial_weights.empty() ? 1 : initial_weights[v];
-        }
-    }
-    for (graph::Vertex v = 0; v < n; ++v) {
-        if (weights_[v] > 0) {
-            invariant(actions_[v].kind == ActionKind::Vote ||
-                          (actions_[v].kind == ActionKind::Delegate &&
-                           actions_[v].targets.front() == v),
-                      "weight pooled at a non-voting voter");
-            voting_sinks_.push_back(v);
-            stats_.max_weight = std::max(stats_.max_weight, weights_[v]);
-            stats_.cast_weight += weights_[v];
-        }
+        if (weights_[v] == 0) continue;
+        invariant(next[v] == v, "weight pooled at a non-voting voter");
+        voting_sinks_.push_back(v);
+        stats_.max_weight = std::max(stats_.max_weight, weights_[v]);
+        stats_.cast_weight += weights_[v];
     }
     stats_.voting_sink_count = voting_sinks_.size();
+    stats_.longest_path = longest;
 }
 
 graph::Vertex DelegationOutcome::sink_of(graph::Vertex v) const {

@@ -55,14 +55,17 @@ public:
     /// or — under CyclePolicy::Discard — trapped in a cycle).
     static constexpr graph::Vertex kNoSink = std::numeric_limits<graph::Vertex>::max();
 
-    /// Reusable scratch for `resolve`: chain-walk and per-voter depth
-    /// buffers that would otherwise be reallocated every realization.
-    /// Owned by the caller (typically a ReplicationWorkspace) so repeated
-    /// rebuilds are allocation-free.
+    /// Reusable scratch for `finish_rebuild`, owned by the caller
+    /// (typically a ReplicationWorkspace) so repeated rebuilds are
+    /// allocation-free.  One pass over the actions validates them and
+    /// writes each voter's successor into `next`: its target, itself if
+    /// it votes (or delegates to itself), `kNoSink` if it abstains.  The
+    /// chain walk, path compression, weights and stats then read only
+    /// flat 4-byte arrays, never the actions.
     struct ResolveScratch {
-        std::vector<std::size_t> depth;          // delegation-path length to sink
-        std::vector<std::uint8_t> lost_to_cycle; // votes draining into a cycle
-        std::vector<graph::Vertex> chain;        // current walk, for compression
+        std::vector<graph::Vertex> next;   // successor per voter
+        std::vector<std::uint32_t> depth;  // delegation-path length to sink
+        std::vector<graph::Vertex> chain;  // current walk, for compression
     };
 
     /// An empty outcome (0 voters); fill it via begin_rebuild/finish_rebuild
@@ -125,10 +128,6 @@ public:
     std::size_t cycle_losses() const noexcept { return cycle_losses_; }
 
 private:
-    void validate(std::span<const std::uint64_t> initial_weights) const;
-    void resolve(std::span<const std::uint64_t> initial_weights,
-                 CyclePolicy cycle_policy, ResolveScratch& scratch);
-
     std::vector<mech::Action> actions_;
     std::size_t cycle_losses_ = 0;
     bool functional_ = true;

@@ -16,22 +16,20 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
     expects(alpha_ > 0.0, "Instance: alpha must be positive (acyclicity requires it)");
     // Precompute the approval CSR: one O(n + m) pass at construction buys
     // allocation-free approved_neighbours_view() in the replication loop.
+    // The pass tests each arc once.  α > 0 approves at most one direction
+    // of an edge, so edge_count() bounds the approved total.
     const std::size_t n = graph_.vertex_count();
-    approved_offsets_.assign(n + 1, 0);
+    approved_offsets_.resize(n + 1);
+    approved_offsets_[0] = 0;
+    approved_flat_.reserve(graph_.edge_count());
     for (graph::Vertex v = 0; v < n; ++v) {
-        std::size_t count = 0;
+        const double bar = competencies_[v] + alpha_;
         for (graph::Vertex w : graph_.neighbours(v)) {
-            if (competencies_[v] + alpha_ <= competencies_[w]) ++count;
+            if (bar <= competencies_[w]) approved_flat_.push_back(w);
         }
-        approved_offsets_[v + 1] = approved_offsets_[v] + count;
+        approved_offsets_[v + 1] = approved_flat_.size();
     }
-    approved_flat_.resize(approved_offsets_[n]);
-    for (graph::Vertex v = 0; v < n; ++v) {
-        std::size_t at = approved_offsets_[v];
-        for (graph::Vertex w : graph_.neighbours(v)) {
-            if (competencies_[v] + alpha_ <= competencies_[w]) approved_flat_[at++] = w;
-        }
-    }
+    approved_flat_.shrink_to_fit();
 }
 
 std::vector<graph::Vertex> Instance::approved_neighbours(graph::Vertex v) const {

@@ -31,8 +31,17 @@ private:
         skip_whitespace();
         if (pos_ >= text_.size()) fail("unexpected end of input");
         switch (text_[pos_]) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                // Containers recurse: cap their depth so no document can
+                // exhaust the stack.
+                if (++depth_ > kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kMaxDepth));
+                }
+                Value nested = text_[pos_] == '{' ? parse_object() : parse_array();
+                --depth_;
+                return nested;
+            }
             case '"': return Value(parse_string());
             case 't': expect_word("true"); return Value(true);
             case 'f': expect_word("false"); return Value(false);
@@ -194,6 +203,7 @@ private:
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  // containers open at pos_
 };
 
 }  // namespace

@@ -68,8 +68,12 @@ private:
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
+/// Deepest container nesting `parse` accepts; deeper documents are an
+/// Error, not a stack overflow.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage is an Error).
+/// garbage is an Error; so is nesting deeper than kMaxDepth).
 Value parse(std::string_view text);
 
 /// Parse the file at `path`; Error on unreadable file or bad JSON.

@@ -77,6 +77,26 @@ TEST(Instance, AccessorsAndApproval) {
     EXPECT_EQ(counts[2], 0u);
 }
 
+TEST(Instance, ApprovalViewMatchesFreeFunction) {
+    ld::rng::Rng rng(2000);
+    const std::size_t n = 2000;
+    for (const double alpha : {0.01, 0.05, 0.3}) {
+        SCOPED_TRACE(alpha);
+        auto p = model::uniform_competencies(rng, n, 0.2, 0.8);
+        const Instance inst(g::make_erdos_renyi_gnp(rng, n, 0.004), p, alpha);
+        std::size_t approved = 0;
+        for (g::Vertex v = 0; v < n; ++v) {
+            const auto view = inst.approved_neighbours_view(v);
+            const std::vector<g::Vertex> got(view.begin(), view.end());
+            ASSERT_EQ(got, model::approved_neighbours(inst.graph(), p, v, alpha))
+                << "voter " << v;
+            approved += got.size();
+        }
+        EXPECT_GT(approved, 0u);
+        EXPECT_LE(approved, inst.graph().edge_count());
+    }
+}
+
 TEST(Instance, PartitionComplexityBoundIsCeilOneOverAlpha) {
     const Instance a(g::make_complete(2), CompetencyVector({0.4, 0.6}), 0.25);
     EXPECT_EQ(a.partition_complexity_bound(), 4u);

@@ -174,4 +174,34 @@ TEST(JsonRoundTrip, EscapeHeavyStringsSurvive) {
     }
 }
 
+// `depth` nested arrays, or objects {"k": ...}, around a 1.
+std::string nested(std::size_t depth, bool objects) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += objects ? "{\"k\":" : "[";
+    text += "1";
+    for (std::size_t i = 0; i < depth; ++i) text += objects ? "}" : "]";
+    return text;
+}
+
+TEST(JsonParse, MillionOpenBracketsThrowInsteadOfOverflowingTheStack) {
+    EXPECT_THROW(json::parse(std::string(1000000, '[')), json::Error);
+}
+
+TEST(JsonParse, NestingIsCappedAtMaxDepth) {
+    for (const bool objects : {false, true}) {
+        SCOPED_TRACE(objects ? "objects" : "arrays");
+        const json::Value deepest = json::parse(nested(json::kMaxDepth, objects));
+        const json::Value* v = &deepest;
+        for (std::size_t i = 0; i < json::kMaxDepth; ++i) {
+            v = objects ? &v->at("k") : &v->as_array().at(0);
+        }
+        EXPECT_EQ(v->as_number(), 1.0);
+        EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1, objects)), json::Error);
+    }
+    // The cap counts open containers, not containers seen: siblings at the
+    // cap depth parse.
+    const std::string inner = nested(json::kMaxDepth - 1, false);
+    EXPECT_NO_THROW(json::parse("[" + inner + "," + inner + "]"));
+}
+
 }  // namespace

@@ -541,6 +541,34 @@ TEST(ServeServer, SocketSessionAndGracefulDrain) {
     EXPECT_THROW(net::connect_unix(server.config().unix_socket), net::NetError);
 }
 
+TEST(ServeServer, DeeplyNestedLineIsABadRequestAndTheServerStaysUp) {
+    serve::ServerConfig config;
+    config.unix_socket = socket_path("deep");
+    serve::Server server(std::move(config));
+    server.start();
+
+    net::Socket client = net::connect_unix(server.config().unix_socket);
+    net::LineReader reader(client);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));  // handshake
+
+    // 10⁶ nested arrays once overflowed the parser's stack.
+    net::write_line(client, std::string(1000000, '['));
+    ASSERT_TRUE(reader.read_line(line));
+    const json::Value rejected = json::parse(line);
+    EXPECT_FALSE(rejected.at("ok").as_bool());
+    EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
+
+    net::write_line(client, R"({"id": 2, "method": "health"})");
+    ASSERT_TRUE(reader.read_line(line));
+    const json::Value health = json::parse(line);
+    EXPECT_TRUE(health.at("ok").as_bool()) << line;
+    EXPECT_EQ(health.at("id").as_number(), 2.0);
+
+    server.request_drain();
+    EXPECT_EQ(server.wait(), 0);
+}
+
 TEST(ServeServer, ReapsDisconnectedClientsUnderChurn) {
     serve::ServerConfig config;
     config.unix_socket = socket_path("churn");
