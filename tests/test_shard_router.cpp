@@ -286,6 +286,27 @@ TEST(ShardRouterEndToEnd, RoutesEvalsAndFailsOverWhenABackendDrains) {
     EXPECT_EQ(backend_b.wait(), 0);
 }
 
+TEST(ShardRouterEndToEnd, DeeplyNestedLineIsABadRequestAndTheFrontStaysUp) {
+    serve::ShardRouterConfig config;
+    config.unix_socket = socket_path("deep");
+    config.backends = {serve::parse_backend_spec(socket_path("deep_ghost"))};
+    config.health_interval = std::chrono::milliseconds(100);
+    serve::ShardRouter router(std::move(config));
+    router.start();
+
+    // The front parses every line for its routing key; 10⁶ nested arrays
+    // once overflowed that parser's stack.
+    RouterClient client(socket_path("deep"));
+    const json::Value rejected = client.call(std::string(1000000, '['));
+    ASSERT_FALSE(rejected.at("ok").as_bool());
+    EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
+    const json::Value health = client.call(R"({"id": 2, "method": "health"})");
+    EXPECT_TRUE(health.at("ok").as_bool());
+
+    router.request_drain();
+    EXPECT_EQ(router.wait(), 0);
+}
+
 TEST(ShardRouterEndToEnd, NoRoutableBackendRejectsWithOverloaded) {
     serve::ShardRouterConfig config;
     config.unix_socket = socket_path("lonely");
