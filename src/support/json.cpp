@@ -169,6 +169,9 @@ private:
         char* end = nullptr;
         const double parsed = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size()) fail("malformed number");
+        // A literal past the double range (1e400) would parse to ±inf,
+        // which no reader range-checks and format_number cannot render.
+        if (!std::isfinite(parsed)) fail("number out of range");
         return Value(parsed);
     }
 

@@ -187,6 +187,16 @@ TEST(JsonParse, MillionOpenBracketsThrowInsteadOfOverflowingTheStack) {
     EXPECT_THROW(json::parse(std::string(1000000, '[')), json::Error);
 }
 
+// A literal past the double range would parse to ±inf, which readers do
+// not range-check and format_number cannot render.  Underflow stays
+// finite and parses.
+TEST(JsonParse, OverflowingNumbersAreErrors) {
+    EXPECT_THROW(json::parse("1e400"), json::Error);
+    EXPECT_THROW(json::parse("-1e400"), json::Error);
+    EXPECT_THROW(json::parse(R"({"id":1e400,"method":"health"})"), json::Error);
+    EXPECT_EQ(json::parse("1e-400").as_number(), 0.0);
+}
+
 TEST(JsonParse, NestingIsCappedAtMaxDepth) {
     for (const bool objects : {false, true}) {
         SCOPED_TRACE(objects ? "objects" : "arrays");

@@ -286,18 +286,20 @@ TEST(ShardRouterEndToEnd, RoutesEvalsAndFailsOverWhenABackendDrains) {
     EXPECT_EQ(backend_b.wait(), 0);
 }
 
-TEST(ShardRouterEndToEnd, DeeplyNestedLineIsABadRequestAndTheFrontStaysUp) {
+// The front parses every line for its routing key and re-renders it.
+// Sends `bad_line` through a router front, expects bad_request, then
+// expects a health request on the same connection to be answered.
+void expect_front_bad_request_then_health(const std::string& name,
+                                          const std::string& bad_line) {
     serve::ShardRouterConfig config;
-    config.unix_socket = socket_path("deep");
-    config.backends = {serve::parse_backend_spec(socket_path("deep_ghost"))};
+    config.unix_socket = socket_path(name);
+    config.backends = {serve::parse_backend_spec(socket_path(name + "_ghost"))};
     config.health_interval = std::chrono::milliseconds(100);
     serve::ShardRouter router(std::move(config));
     router.start();
 
-    // The front parses every line for its routing key; 10⁶ nested arrays
-    // once overflowed that parser's stack.
-    RouterClient client(socket_path("deep"));
-    const json::Value rejected = client.call(std::string(1000000, '['));
+    RouterClient client(socket_path(name));
+    const json::Value rejected = client.call(bad_line);
     ASSERT_FALSE(rejected.at("ok").as_bool());
     EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
     const json::Value health = client.call(R"({"id": 2, "method": "health"})");
@@ -305,6 +307,16 @@ TEST(ShardRouterEndToEnd, DeeplyNestedLineIsABadRequestAndTheFrontStaysUp) {
 
     router.request_drain();
     EXPECT_EQ(router.wait(), 0);
+}
+
+TEST(ShardRouterEndToEnd, DeeplyNestedLineIsABadRequestAndTheFrontStaysUp) {
+    // 10⁶ nested arrays once overflowed the front parser's stack.
+    expect_front_bad_request_then_health("deep", std::string(1000000, '['));
+}
+
+TEST(ShardRouterEndToEnd, OverflowingNumberIsABadRequestAndTheFrontStaysUp) {
+    // An id of 1e400 once parsed to inf, which no response can render.
+    expect_front_bad_request_then_health("overflow", R"({"id":1e400,"method":"health"})");
 }
 
 TEST(ShardRouterEndToEnd, NoRoutableBackendRejectsWithOverloaded) {
