@@ -113,12 +113,12 @@ void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_we
             depth[*it] = ++d;
             pooled += weight_of(*it);
         }
-        longest = std::max(longest, d);
         if (terminal == kLost) {
             cycle_losses_ += chain.size();
-        } else if (terminal != kNoSink) {
-            weights_[terminal] += pooled;
+            continue;  // not a delegation path: it ends at no voter
         }
+        longest = std::max(longest, d);
+        if (terminal != kNoSink) weights_[terminal] += pooled;
     }
     if (cycle_losses_ > 0) std::replace(sink_.begin(), sink_.end(), kLost, kNoSink);
 

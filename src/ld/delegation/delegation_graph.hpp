@@ -33,7 +33,11 @@ struct DelegationStats {
     std::size_t voting_sink_count = 0;  ///< sinks that actually cast a vote
     std::uint64_t max_weight = 0;       ///< heaviest voting sink
     std::uint64_t cast_weight = 0;      ///< total votes cast (n − lost)
-    std::size_t longest_path = 0;       ///< realized partition complexity
+    /// Realized partition complexity: the most arcs on a delegation chain
+    /// that ends at a voter who votes or abstains.  Chains lost to a cycle
+    /// (CyclePolicy::Discard) end at no voter and do not count, so the
+    /// value does not depend on how voters are numbered.
+    std::size_t longest_path = 0;
 };
 
 /// How to treat a delegation cycle (only non-approval-respecting

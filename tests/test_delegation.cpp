@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <set>
 #include <string>
 
 #include "graph/generators.hpp"
@@ -86,6 +84,21 @@ TEST(DelegationOutcome, LongCycleIsRejected) {
         actions.push_back(Action::delegate_to((v + 1) % 10));
     }
     EXPECT_THROW(DelegationOutcome(std::move(actions)), ContractViolation);
+}
+
+// Under Discard, a walk lost to a cycle is no delegation path, so two
+// numberings of one shape (a 2-cycle with a tail) report the same
+// longest path: none, as no chain ends at a voter or an abstainer.
+TEST(DelegationOutcome, DiscardedCyclesLeaveLongestPathAloneUnderAnyNumbering) {
+    using ld::delegation::CyclePolicy;
+    for (const std::vector<g::Vertex>& next : {std::vector<g::Vertex>{1, 0, 1},
+                                                std::vector<g::Vertex>{2, 2, 1}}) {
+        std::vector<Action> actions;
+        for (const g::Vertex t : next) actions.push_back(Action::delegate_to(t));
+        const DelegationOutcome out(std::move(actions), {}, CyclePolicy::Discard);
+        EXPECT_EQ(out.cycle_losses(), 3u);
+        EXPECT_EQ(out.stats().longest_path, 0u);
+    }
 }
 
 // Runs `build` and expects a ContractViolation whose message contains
@@ -235,11 +248,9 @@ struct NaiveResolution {
 };
 
 // A voter's walk stops at a voter who votes, delegates to itself or
-// abstains; a walk that has not stopped after n arcs is lost to a cycle.
-// The depth of a lost voter follows the resolver's convention: it counts
-// arcs until the walk re-enters the cycle's entry from inside the cycle,
-// where the entry is the first cycle voter reached from the
-// lowest-numbered voter that drains into the cycle.
+// abstains; a walk that has not stopped after n arcs is lost to a cycle,
+// and a lost voter's walk is no delegation path, so it leaves
+// longest_path alone.
 NaiveResolution naive_resolution(const std::vector<Action>& actions,
                                  const std::vector<std::uint64_t>& initial_weights) {
     using ld::mech::ActionKind;
@@ -251,7 +262,6 @@ NaiveResolution naive_resolution(const std::vector<Action>& actions,
     NaiveResolution r;
     r.sink.assign(n, DelegationOutcome::kNoSink);
     r.weights.assign(n, 0);
-    std::map<g::Vertex, g::Vertex> entry_by_cycle;  // smallest cycle voter -> entry
     for (g::Vertex v = 0; v < n; ++v) {
         if (actions[v].kind == ActionKind::Delegate) ++r.stats.delegator_count;
         if (actions[v].kind == ActionKind::Abstain) ++r.stats.abstainer_count;
@@ -269,23 +279,8 @@ NaiveResolution naive_resolution(const std::vector<Action>& actions,
             r.stats.longest_path = std::max(r.stats.longest_path, arcs);
             continue;
         }
-        // After n arcs the walk is on the cycle.
         r.has_cycle = true;
         ++r.cycle_losses;
-        std::set<g::Vertex> cycle{u};
-        for (g::Vertex w = next(u); w != u; w = next(w)) cycle.insert(w);
-        const auto [it, first] = entry_by_cycle.emplace(*cycle.begin(), 0);
-        if (first) {
-            g::Vertex w = v;
-            while (!cycle.contains(w)) w = next(w);
-            it->second = w;
-        }
-        const g::Vertex entry = it->second;
-        std::size_t depth = 1;
-        for (g::Vertex w = v; !(cycle.contains(w) && next(w) == entry); w = next(w)) {
-            ++depth;
-        }
-        r.stats.longest_path = std::max(r.stats.longest_path, depth);
     }
     for (g::Vertex v = 0; v < n; ++v) {
         if (r.weights[v] == 0) continue;

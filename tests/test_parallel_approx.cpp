@@ -133,9 +133,9 @@ TEST(ParallelEval, ReportsMatchRecordedDigests) {
         std::uint64_t digest;
     };
     StopRule rules[] = {
-        {"fixed", {}, 0xecc9270ceeb5e8d7ULL},
-        {"se-target", {}, 0xe9296abc4928912bULL},
-        {"certified", {}, 0x877d67fd21ffeb1eULL},
+        {"fixed", {}, 0x43c3875f55bb7180ULL},
+        {"se-target", {}, 0x93f36573759f2d56ULL},
+        {"certified", {}, 0xcf93e1c942736cabULL},
     };
     rules[0].options.replications = 77;
     rules[1].options.target_std_error = 3e-3;
