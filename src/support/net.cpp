@@ -270,42 +270,6 @@ Listener& Listener::operator=(Listener&& other) noexcept {
     return *this;
 }
 
-std::optional<Socket> Listener::accept(int wake_fd) {
-    while (fd_ >= 0) {
-        pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
-        const nfds_t count = wake_fd >= 0 ? 2 : 1;
-        const int ready = ::poll(fds, count, -1);
-        if (ready < 0) {
-            if (errno == EINTR) continue;  // the signal sets the wake fd
-            fail("poll");
-        }
-        if (wake_fd >= 0 && (fds[1].revents & (POLLIN | POLLERR | POLLHUP))) {
-            return std::nullopt;
-        }
-        if (fds[0].revents & (POLLIN | POLLERR | POLLHUP)) {
-            const int client = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
-            if (client < 0) {
-                if (errno == EINTR || errno == ECONNABORTED) continue;
-                if (errno == EBADF || errno == EINVAL) return std::nullopt;  // closed
-                if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-                    errno == ENOMEM) {
-                    // Out of descriptors/buffers: a load condition that
-                    // clears when connections close.  Back off so the
-                    // poll above does not spin on the still-pending
-                    // connection, keeping the wake fd responsive.
-                    pollfd wake{wake_fd, POLLIN, 0};
-                    const int woke = ::poll(&wake, wake_fd >= 0 ? 1 : 0, 100);
-                    if (woke > 0 && wake_fd >= 0) return std::nullopt;
-                    continue;
-                }
-                fail("accept");
-            }
-            return Socket(client);
-        }
-    }
-    return std::nullopt;
-}
-
 std::optional<Socket> Listener::try_accept(bool* exhausted) {
     if (exhausted) *exhausted = false;
     while (fd_ >= 0) {

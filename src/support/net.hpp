@@ -118,13 +118,6 @@ public:
     std::uint16_t port() const noexcept { return port_; }
     const std::string& path() const noexcept { return path_; }
 
-    /// Block until a client connects or `wake_fd` becomes readable
-    /// (pass -1 for no wake fd).  Returns nullopt on wake-up or if the
-    /// listener has been closed.  Descriptor exhaustion (EMFILE/ENFILE
-    /// and friends) is a load condition, not an error: accept backs off
-    /// briefly and retries rather than throwing.
-    std::optional<Socket> accept(int wake_fd = -1);
-
     /// Nonblocking accept for event-loop use: the next pending client
     /// (created O_NONBLOCK), or nullopt when none is pending — which
     /// includes descriptor exhaustion (`exhausted`, when non-null, is
