@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -35,23 +36,36 @@ namespace ld::cli {
 
 namespace {
 
-double parse_double(const std::string& value, const std::string& flag) {
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-    } catch (const std::exception&) {
-        throw SpecError(flag + ": cannot parse '" + value + "'");
+/// `--shard <i>/<k>`: this shard's index and the shard count, i < k.
+std::pair<std::size_t, std::size_t> parse_shard(const std::string& value) {
+    const auto slash = value.find('/');
+    if (slash == std::string::npos) {
+        throw SpecError("--shard: expected <index>/<count>, got '" + value + "'");
     }
+    const std::size_t index = parse_size(value.substr(0, slash), "--shard");
+    const std::size_t count = parse_size(value.substr(slash + 1), "--shard");
+    if (count == 0 || index >= count) {
+        throw SpecError("--shard: need index < count, got '" + value + "'");
+    }
+    return {index, count};
 }
 
-std::size_t parse_size(const std::string& value, const std::string& flag) {
-    const double parsed = parse_double(value, flag);
-    if (parsed < 0 || parsed != static_cast<double>(static_cast<std::size_t>(parsed))) {
-        throw SpecError(flag + ": expected a non-negative integer");
+/// The end-of-run metrics report: a console table under LIQUIDD_METRICS,
+/// a JSON file at `path`.  `lead` goes before the "wrote" line.
+void report_metrics(const std::optional<std::string>& path, std::ostream& out,
+                    const char* lead = "") {
+    if (!path && !support::metrics_env_enabled()) return;
+    const auto snapshot = support::MetricsRegistry::global().snapshot();
+    if (support::metrics_env_enabled()) {
+        out << "\n-- metrics --\n";
+        support::print_metrics_table(out, snapshot);
     }
-    return static_cast<std::size_t>(parsed);
+    if (path) {
+        std::ofstream metrics(*path);
+        if (!metrics) throw SpecError("--metrics-out: cannot open '" + *path + "'");
+        support::write_metrics_json(metrics, snapshot);
+        out << lead << "wrote metrics report to " << *path << "\n";
+    }
 }
 
 /// The `tally ε` row of the gain report: which tally route produced P^M
@@ -239,13 +253,10 @@ int run(const Options& options, std::ostream& out) {
     }
     apply_simd_override(options.simd);
     rng::Rng rng(options.seed);
-    const model::Instance instance = [&] {
-        if (options.load_path.has_value()) return model::load_instance(*options.load_path);
-        auto graph = make_graph(options.graph_spec, options.n, rng);
-        auto competencies =
-            make_competencies(options.competency_spec, graph.vertex_count(), rng);
-        return model::Instance(std::move(graph), std::move(competencies), options.alpha);
-    }();
+    const model::Instance instance =
+        options.load_path ? model::load_instance(*options.load_path)
+                          : make_instance(options.graph_spec, options.competency_spec,
+                                          options.n, options.alpha, rng);
     if (options.save_path.has_value()) {
         model::save_instance(*options.save_path, instance);
         out << "saved instance to " << *options.save_path << "\n";
@@ -368,22 +379,7 @@ int run(const Options& options, std::ostream& out) {
         out << "\nwrote one delegation realization to " << *options.dot_path << "\n";
     }
 
-    if (options.metrics_out || support::metrics_env_enabled()) {
-        const auto snapshot = support::MetricsRegistry::global().snapshot();
-        if (support::metrics_env_enabled()) {
-            out << "\n-- metrics --\n";
-            support::print_metrics_table(out, snapshot);
-        }
-        if (options.metrics_out) {
-            std::ofstream metrics(*options.metrics_out);
-            if (!metrics) {
-                throw SpecError("--metrics-out: cannot open '" + *options.metrics_out +
-                                "'");
-            }
-            support::write_metrics_json(metrics, snapshot);
-            out << "\nwrote metrics report to " << *options.metrics_out << "\n";
-        }
-    }
+    report_metrics(options.metrics_out, out, "\n");
     return 0;
 }
 
@@ -432,16 +428,7 @@ SweepOptions parse_sweep_options(const std::vector<std::string>& args) {
         else if (flag == "--ckpt") options.checkpoint_path = next();
         else if (flag == "--resume") options.resume = true;
         else if (flag == "--shard") {
-            const std::string& value = next();
-            const auto slash = value.find('/');
-            if (slash == std::string::npos) {
-                throw SpecError("--shard: expected <index>/<count>, got '" + value + "'");
-            }
-            options.shard_index = parse_size(value.substr(0, slash), "--shard");
-            options.shard_count = parse_size(value.substr(slash + 1), "--shard");
-            if (options.shard_count == 0 || options.shard_index >= options.shard_count) {
-                throw SpecError("--shard: need index < count, got '" + value + "'");
-            }
+            std::tie(options.shard_index, options.shard_count) = parse_shard(next());
         }
         else if (flag == "--threads") options.threads = parse_size(next(), flag);
         else if (flag == "--max-cells") options.max_cells = parse_size(next(), flag);
@@ -507,22 +494,7 @@ int run_sweep(const SweepOptions& options, std::ostream& out) {
     experiments::SweepEngine engine(spec, engine_options);
     engine.run(out);
 
-    if (options.metrics_out || support::metrics_env_enabled()) {
-        const auto snapshot = support::MetricsRegistry::global().snapshot();
-        if (support::metrics_env_enabled()) {
-            out << "\n-- metrics --\n";
-            support::print_metrics_table(out, snapshot);
-        }
-        if (options.metrics_out) {
-            std::ofstream metrics(*options.metrics_out);
-            if (!metrics) {
-                throw SpecError("--metrics-out: cannot open '" + *options.metrics_out +
-                                "'");
-            }
-            support::write_metrics_json(metrics, snapshot);
-            out << "wrote metrics report to " << *options.metrics_out << "\n";
-        }
-    }
+    report_metrics(options.metrics_out, out);
     return 0;
 }
 
@@ -776,16 +748,7 @@ GenOptions parse_gen_options(const std::vector<std::string>& args) {
         else if (flag == "--n") options.n = parse_size(next(), flag);
         else if (flag == "--seed") options.seed = parse_size(next(), flag);
         else if (flag == "--shard") {
-            const std::string& value = next();
-            const auto slash = value.find('/');
-            if (slash == std::string::npos) {
-                throw SpecError("--shard: expected <index>/<count>, got '" + value + "'");
-            }
-            options.shard_index = parse_size(value.substr(0, slash), "--shard");
-            options.shard_count = parse_size(value.substr(slash + 1), "--shard");
-            if (options.shard_count == 0 || options.shard_index >= options.shard_count) {
-                throw SpecError("--shard: need index < count, got '" + value + "'");
-            }
+            std::tie(options.shard_index, options.shard_count) = parse_shard(next());
         }
         else if (flag == "--chunk-edges") {
             options.chunk_edges = parse_size(next(), flag);
@@ -863,22 +826,7 @@ int run_gen(const GenOptions& options, std::ostream& out) {
                             << *options.out_path << "\n";
     }
 
-    if (options.metrics_out || support::metrics_env_enabled()) {
-        const auto snapshot = support::MetricsRegistry::global().snapshot();
-        if (support::metrics_env_enabled()) {
-            out << "\n-- metrics --\n";
-            support::print_metrics_table(out, snapshot);
-        }
-        if (options.metrics_out) {
-            std::ofstream metrics(*options.metrics_out);
-            if (!metrics) {
-                throw SpecError("--metrics-out: cannot open '" + *options.metrics_out +
-                                "'");
-            }
-            support::write_metrics_json(metrics, snapshot);
-            out << "wrote metrics report to " << *options.metrics_out << "\n";
-        }
-    }
+    report_metrics(options.metrics_out, out);
     return 0;
 }
 
@@ -976,13 +924,10 @@ int run_game(const GameCliOptions& options, std::ostream& out) {
     }
     apply_simd_override(options.simd);
     rng::Rng rng(options.seed);
-    const model::Instance instance = [&] {
-        if (options.load_path.has_value()) return model::load_instance(*options.load_path);
-        auto graph = make_graph(options.graph_spec, options.n, rng);
-        auto competencies =
-            make_competencies(options.competency_spec, graph.vertex_count(), rng);
-        return model::Instance(std::move(graph), std::move(competencies), options.alpha);
-    }();
+    const model::Instance instance =
+        options.load_path ? model::load_instance(*options.load_path)
+                          : make_instance(options.graph_spec, options.competency_spec,
+                                          options.n, options.alpha, rng);
 
     game::GameOptions game;
     game.utility = options.utility == "coop" ? game::Utility::Cooperative
@@ -1044,22 +989,7 @@ int run_game(const GameCliOptions& options, std::ostream& out) {
         }
     }
 
-    if (options.metrics_out || support::metrics_env_enabled()) {
-        const auto snapshot = support::MetricsRegistry::global().snapshot();
-        if (support::metrics_env_enabled()) {
-            out << "\n-- metrics --\n";
-            support::print_metrics_table(out, snapshot);
-        }
-        if (options.metrics_out) {
-            std::ofstream metrics(*options.metrics_out);
-            if (!metrics) {
-                throw SpecError("--metrics-out: cannot open '" + *options.metrics_out +
-                                "'");
-            }
-            support::write_metrics_json(metrics, snapshot);
-            out << "wrote metrics report to " << *options.metrics_out << "\n";
-        }
-    }
+    report_metrics(options.metrics_out, out);
     return 0;
 }
 

@@ -1,9 +1,9 @@
 #include "ld/experiments/sweep.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -40,13 +40,9 @@ double require_number(const json::Value& v, const std::string& where) {
 }
 
 std::size_t require_count(const json::Value& v, const std::string& where) {
-    const double d = require_number(v, where);
-    // Range-check before casting (casting NaN, inf or >= 2^64 is UB); NaN
-    // fails the first test.
-    if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d)) {
-        spec_error(where, "expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(d);
+    const std::optional<std::size_t> count = cli::count_of(require_number(v, where));
+    if (!count) spec_error(where, "expected a non-negative integer");
+    return *count;
 }
 
 /// An axis accepts either a scalar or a non-empty array of scalars.
@@ -350,9 +346,8 @@ std::vector<SweepCell> SweepEngine::cells() const {
 
 SweepEngine::Row SweepEngine::run_cell(const SweepCell& cell) const {
     rng::Rng rng(cell.seed);
-    auto graph = cli::make_graph(cell.graph, cell.n, rng);
-    auto competencies = cli::make_competencies(cell.competency, graph.vertex_count(), rng);
-    model::Instance instance(std::move(graph), std::move(competencies), cell.alpha);
+    const model::Instance instance =
+        cli::make_instance(cell.graph, cell.competency, cell.n, cell.alpha, rng);
     const auto mechanism = cli::make_mechanism(cell.mechanism);
     if (!mechanism->approval_respecting() && !spec_.discard_cycles) {
         throw cli::SpecError("mechanism '" + cell.mechanism +

@@ -43,11 +43,9 @@ std::shared_ptr<const CachedInstance> InstanceCache::load(
     // same deterministic sequence as the CLI path: one RNG seeded with
     // `seed` drives graph then competencies.
     rng::Rng rng(seed);
-    auto graph = cli::make_graph(graph_spec, n, rng);
-    auto competencies = cli::make_competencies(competency_spec, graph.vertex_count(), rng);
     auto entry = std::make_shared<CachedInstance>(
         key, graph_spec, competency_spec, n, alpha, seed,
-        model::Instance(std::move(graph), std::move(competencies), alpha));
+        cli::make_instance(graph_spec, competency_spec, n, alpha, rng));
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = entries_.emplace(key, std::move(entry));

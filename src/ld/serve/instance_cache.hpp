@@ -57,7 +57,7 @@ public:
 
     /// Look up the tuple; realize and insert on miss.  `was_hit` (when
     /// non-null) reports whether the instance was already cached.
-    /// Throws cli::SpecError on a bad spec.
+    /// Throws cli::SpecError on a bad spec or alpha (cli::make_instance).
     std::shared_ptr<const CachedInstance> load(const std::string& graph_spec,
                                                const std::string& competency_spec,
                                                std::size_t n, double alpha,

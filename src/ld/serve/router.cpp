@@ -42,6 +42,16 @@ std::string optional_string(const json::Value& params, const std::string& key,
     return require_string(params, key);
 }
 
+/// params.graph.  A `file:` graph is refused before anything opens it:
+/// the server reads no path a client names.
+std::string require_graph_spec(const json::Value& params) {
+    std::string spec = require_string(params, "graph");
+    if (spec.substr(0, spec.find(':')) == "file") {
+        bad_param("graph", "file: graphs are not served");
+    }
+    return spec;
+}
+
 bool optional_bool(const json::Value& params, const std::string& key, bool fallback) {
     if (!params.is_object() || !params.find(key)) return fallback;
     const json::Value& value = params.at(key);
@@ -116,6 +126,10 @@ Router::Outcome Router::execute(const Request& request) {
     } catch (const ProtocolError& e) {
         registry.counter("serve.errors").add(1);
         outcome.code = e.code();
+        outcome.message = e.what();
+    } catch (const cli::SpecError& e) {
+        registry.counter("serve.errors").add(1);
+        outcome.code = ErrorCode::BadRequest;
         outcome.message = e.what();
     } catch (const std::exception& e) {
         registry.counter("serve.errors").add(1);
@@ -244,15 +258,13 @@ json::Object Router::do_eval(const json::Value& params) {
         // Inline path ≡ CLI `--graph/--competencies`: one RNG seeded at
         // `seed` realizes the graph, then the competencies, then runs the
         // replications — the same draws in the same order.
-        const std::string graph_spec = require_string(params, "graph");
+        const std::string graph_spec = require_graph_spec(params);
         const std::string competency_spec = require_string(params, "competencies");
         const std::size_t n = require_count(params, "n");
         const double alpha = require_number(params, "alpha");
         rng::Rng rng(seed);
-        auto graph = cli::make_graph(graph_spec, n, rng);
-        auto competencies =
-            cli::make_competencies(competency_spec, graph.vertex_count(), rng);
-        const model::Instance instance(std::move(graph), std::move(competencies), alpha);
+        const model::Instance instance =
+            cli::make_instance(graph_spec, competency_spec, n, alpha, rng);
         report = election::estimate_gain(*mechanism, instance, rng, eval);
     }
 
@@ -268,12 +280,11 @@ json::Object Router::do_eval(const json::Value& params) {
 }
 
 json::Object Router::do_instance_load(const json::Value& params) {
-    const std::string graph_spec = require_string(params, "graph");
+    const std::string graph_spec = require_graph_spec(params);
     const std::string competency_spec = require_string(params, "competencies");
     const std::size_t n = require_count(params, "n");
     const double alpha = require_number(params, "alpha");
     const std::uint64_t seed = optional_count(params, "seed", 1);
-    if (alpha <= 0) bad_param("alpha", "approval margin must be > 0");
 
     bool was_hit = false;
     const auto entry =

@@ -11,6 +11,7 @@
 #include "ld/mech/mechanism.hpp"
 #include "ld/model/instance.hpp"
 #include "ld/model/competency_gen.hpp"
+#include "malformed_specs.hpp"
 #include "prob/convolve.hpp"
 #include "support/cpu_features.hpp"
 #include "support/expect.hpp"
@@ -63,6 +64,37 @@ TEST(GraphSpecs, NonFiniteAndHugeCountsAreRejected) {
     EXPECT_THROW(cli::make_graph("rmat:nan", 16, rng), SpecError);
 }
 
+// Every malformed spec is a SpecError that quotes the spec and carries no
+// source location, whether the parser or a builder's precondition refused
+// it.
+TEST(SpecErrors, MalformedSpecsAreQuotedWithoutASourceLocation) {
+    using ld::test::SpecKind;
+    for (const auto& [kind, spec] : ld::test::kMalformedSpecs) {
+        SCOPED_TRACE(spec);
+        Rng rng(4);
+        try {
+            if (kind == SpecKind::Graph) cli::make_graph(spec, 64, rng);
+            if (kind == SpecKind::Competencies) cli::make_competencies(spec, 64, rng);
+            if (kind == SpecKind::Mechanism) cli::make_mechanism(spec);
+            ADD_FAILURE() << "no SpecError";
+        } catch (const SpecError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'" + std::string(spec) + "'"), std::string::npos)
+                << what;
+            EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+            EXPECT_EQ(what.find(".hpp:"), std::string::npos) << what;
+        }
+    }
+}
+
+// Fields keep std::stod's number syntax: exponents, hex, a leading dot.
+TEST(SpecErrors, NumberSyntaxOfStodStaysAccepted) {
+    Rng rng(5);
+    EXPECT_TRUE(g::is_d_regular(cli::make_graph("dregular:4e0", 10, rng), 4));
+    EXPECT_TRUE(g::is_d_regular(cli::make_graph("dregular:0x4", 10, rng), 4));
+    EXPECT_EQ(cli::make_competencies("uniform:.3,7e-1", 10, rng).size(), 10u);
+}
+
 TEST(CompetencySpecs, BuildEveryProfile) {
     Rng rng(3);
     EXPECT_EQ(cli::make_competencies("uniform:0.2,0.8", 50, rng).size(), 50u);
@@ -102,7 +134,7 @@ TEST(MechanismSpecs, ErrorsAreDiagnosed) {
     EXPECT_THROW(cli::make_mechanism("alg2:8,2,sideways"), SpecError);
     EXPECT_THROW(cli::make_mechanism("alg2:8"), SpecError);
     EXPECT_THROW(cli::make_mechanism("abstain:0.5"), SpecError);
-    EXPECT_THROW(cli::make_mechanism("multi:2,1"), ld::support::ContractViolation);
+    EXPECT_THROW(cli::make_mechanism("multi:2,1"), SpecError);
 }
 
 TEST(OptionParsing, DefaultsAndOverrides) {
@@ -131,6 +163,39 @@ TEST(OptionParsing, ErrorsAreDiagnosed) {
     EXPECT_THROW(cli::parse_options({"--bogus"}), SpecError);
     EXPECT_THROW(cli::parse_options({"--n"}), SpecError);
     EXPECT_THROW(cli::parse_options({"--n", "many"}), SpecError);
+}
+
+// Numeric flags are checked before any cast: counts must be finite, whole
+// and below 2^64; reals must be finite.
+TEST(OptionParsing, NonFiniteAndOutOfRangeNumbersAreRejected) {
+    for (const char* value : {"nan", "inf", "-inf", "1e300", "1e400", "-1", "2.5"}) {
+        SCOPED_TRACE(value);
+        EXPECT_THROW(cli::parse_options({"--n", value}), SpecError);
+        EXPECT_THROW(cli::parse_options({"--seed", value}), SpecError);
+        EXPECT_THROW(cli::parse_options({"--threads", value}), SpecError);
+        EXPECT_THROW(cli::parse_sweep_options({"a.json", "--shard", std::string(value) + "/4"}),
+                     SpecError);
+    }
+    for (const char* value : {"nan", "inf", "1e400"}) {
+        SCOPED_TRACE(value);
+        EXPECT_THROW(cli::parse_options({"--alpha", value}), SpecError);
+        EXPECT_THROW(cli::parse_options({"--tally-eps", value}), SpecError);
+        EXPECT_THROW(cli::parse_game_options({"--viscosity", value}), SpecError);
+        EXPECT_THROW(cli::parse_game_options({"--tally-eps", value}), SpecError);
+        EXPECT_THROW(cli::parse_serve_options({"--socket", "s", "--tally-eps", value}),
+                     SpecError);
+    }
+    EXPECT_EQ(cli::parse_options({"--n", "1e3"}).n, 1000u);
+    EXPECT_EQ(cli::parse_options({"--seed", "0x10"}).seed, 16u);
+
+    // An alpha that parses but is not > 0 is refused when the instance is
+    // built, as a SpecError rather than a library precondition.
+    cli::Options options;
+    options.alpha = -1.0;
+    options.n = 10;
+    options.replications = 5;
+    std::ostringstream out;
+    EXPECT_THROW(cli::run(options, out), SpecError);
 }
 
 TEST(Runner, HelpPrintsUsage) {

@@ -28,6 +28,7 @@
 #include "ld/election/evaluator.hpp"
 #include "ld/model/instance.hpp"
 #include "ld/serve/server.hpp"
+#include "malformed_specs.hpp"
 #include "prob/convolve.hpp"
 #include "support/build_info.hpp"
 #include "support/cpu_features.hpp"
@@ -203,6 +204,75 @@ json::Object with_param(json::Object params, const std::string& key, json::Value
     params.erase(key);
     params.emplace(key, std::move(value));
     return params;
+}
+
+json::Object load_params() {
+    json::Object load;
+    load.emplace("graph", json::Value(std::string(kGraph)));
+    load.emplace("competencies", json::Value(std::string(kCompetencies)));
+    load.emplace("n", json::Value(static_cast<double>(kN)));
+    load.emplace("alpha", json::Value(kAlpha));
+    return load;
+}
+
+// A malformed spec is the client's error: bad_request, never internal,
+// both inline in an eval and in instance.load.
+TEST(ServeRouter, MalformedSpecsAreBadRequests) {
+    using ld::test::SpecKind;
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    for (const auto& [kind, spec] : ld::test::kMalformedSpecs) {
+        SCOPED_TRACE(spec);
+        const std::string key = kind == SpecKind::Graph          ? "graph"
+                                : kind == SpecKind::Competencies ? "competencies"
+                                                                 : "mechanism";
+        const json::Value value(std::string{spec});
+        const json::Value eval = call(router, "eval", with_param(eval_params(), key, value));
+        EXPECT_EQ(eval.at("error").at("code").as_string(), "bad_request") << json::dump(eval);
+        if (kind == SpecKind::Mechanism) continue;
+        const json::Value load =
+            call(router, "instance.load", with_param(load_params(), key, value));
+        EXPECT_EQ(load.at("error").at("code").as_string(), "bad_request") << json::dump(load);
+    }
+    // An approval margin that is not > 0 is refused the same way.
+    for (const double alpha : {0.0, -1.0}) {
+        const json::Value a(alpha);
+        EXPECT_EQ(call(router, "eval", with_param(eval_params(), "alpha", a))
+                      .at("error")
+                      .at("code")
+                      .as_string(),
+                  "bad_request");
+        EXPECT_EQ(call(router, "instance.load", with_param(load_params(), "alpha", a))
+                      .at("error")
+                      .at("code")
+                      .as_string(),
+                  "bad_request");
+    }
+    EXPECT_EQ(cache.size(), 0u);
+}
+
+// The server reads no path a client names: a `file:` graph is refused
+// before it is opened, though the file holds a valid edge list.
+TEST(ServeRouter, FileGraphsAreRefusedUnopened) {
+    const std::string path = ::testing::TempDir() + "serve_file_graph.txt";
+    {
+        std::ofstream out(path);
+        out << "3 2\n0 1\n1 2\n";
+    }
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+    for (const std::string& spec : {"file:" + path, "file:" + path + ".missing"}) {
+        const json::Value value(spec);
+        for (const json::Value& response :
+             {call(router, "eval", with_param(eval_params(), "graph", value)),
+              call(router, "instance.load", with_param(load_params(), "graph", value))}) {
+            EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request");
+            const std::string message = response.at("error").at("message").as_string();
+            EXPECT_NE(message.find("not served"), std::string::npos) << message;
+            EXPECT_EQ(message.find("cannot open"), std::string::npos) << message;
+        }
+    }
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ServeRouter, EvalRangeChecksInnerSamples) {
@@ -541,9 +611,13 @@ TEST(ServeServer, SocketSessionAndGracefulDrain) {
     EXPECT_THROW(net::connect_unix(server.config().unix_socket), net::NetError);
 }
 
-TEST(ServeServer, DeeplyNestedLineIsABadRequestAndTheServerStaysUp) {
+// Sends `bad_line` on one connection to a live server, expects a
+// bad_request with a null id, then expects a health request on the same
+// connection to be answered and the server to drain.
+void expect_bad_request_then_health(const std::string& name,
+                                    const std::string& bad_line) {
     serve::ServerConfig config;
-    config.unix_socket = socket_path("deep");
+    config.unix_socket = socket_path(name);
     serve::Server server(std::move(config));
     server.start();
 
@@ -552,12 +626,12 @@ TEST(ServeServer, DeeplyNestedLineIsABadRequestAndTheServerStaysUp) {
     std::string line;
     ASSERT_TRUE(reader.read_line(line));  // handshake
 
-    // 10⁶ nested arrays once overflowed the parser's stack.
-    net::write_line(client, std::string(1000000, '['));
+    net::write_line(client, bad_line);
     ASSERT_TRUE(reader.read_line(line));
     const json::Value rejected = json::parse(line);
     EXPECT_FALSE(rejected.at("ok").as_bool());
     EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request");
+    EXPECT_TRUE(rejected.at("id").is_null()) << line;
 
     net::write_line(client, R"({"id": 2, "method": "health"})");
     ASSERT_TRUE(reader.read_line(line));
@@ -567,6 +641,17 @@ TEST(ServeServer, DeeplyNestedLineIsABadRequestAndTheServerStaysUp) {
 
     server.request_drain();
     EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(ServeServer, DeeplyNestedLineIsABadRequestAndTheServerStaysUp) {
+    // 10⁶ nested arrays once overflowed the parser's stack.
+    expect_bad_request_then_health("deep", std::string(1000000, '['));
+}
+
+TEST(ServeServer, OverflowingNumberIsABadRequestAndTheServerStaysUp) {
+    // The id once parsed to inf, which the response could not render: the
+    // event loop died and the server answered nothing after it.
+    expect_bad_request_then_health("overflow", R"({"id":1e400,"method":"health"})");
 }
 
 TEST(ServeServer, ReapsDisconnectedClientsUnderChurn) {
