@@ -19,12 +19,16 @@ DelegationOutcome::DelegationOutcome(std::vector<Action> actions,
     finish_rebuild(initial_weights, cycle_policy, scratch);
 }
 
-std::vector<Action>& DelegationOutcome::begin_rebuild() {
-    // finish_rebuild overwrites sink_ and weights_ in full.
+void DelegationOutcome::clear_derived() {
+    // resolve overwrites sink_ and weights_ in full.
     cycle_losses_ = 0;
     functional_ = true;
     voting_sinks_.clear();
     stats_ = DelegationStats{};
+}
+
+std::vector<Action>& DelegationOutcome::begin_rebuild() {
+    clear_derived();
     return actions_;
 }
 
@@ -34,6 +38,31 @@ void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_we
     const std::size_t n = actions_.size();
     expects(initial_weights.empty() || initial_weights.size() == n,
             "DelegationOutcome: initial weights must be empty or one per voter");
+    successors_.clear();
+    auto& next = scratch.next;
+    next.resize(n);
+    for (graph::Vertex v = 0; v < n; ++v) {
+        next[v] = mech::successor_of(actions_[v], v, n);
+        if (actions_[v].targets.size() > 1) functional_ = false;
+    }
+    resolve(initial_weights, cycle_policy, scratch);
+}
+
+void DelegationOutcome::rebuild_from_successors(
+    std::span<const std::uint64_t> initial_weights, CyclePolicy cycle_policy,
+    ResolveScratch& scratch) {
+    expects(initial_weights.empty() || initial_weights.size() == scratch.next.size(),
+            "DelegationOutcome: initial weights must be empty or one per voter");
+    clear_derived();
+    actions_.clear();
+    resolve(initial_weights, cycle_policy, scratch);
+    successors_.swap(scratch.next);
+}
+
+void DelegationOutcome::resolve(std::span<const std::uint64_t> initial_weights,
+                                CyclePolicy cycle_policy, ResolveScratch& scratch) {
+    const auto& next = scratch.next;
+    const std::size_t n = next.size();
     const auto weight_of = [&](graph::Vertex v) -> std::uint64_t {
         return initial_weights.empty() ? 1 : initial_weights[v];
     };
@@ -43,44 +72,27 @@ void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_we
     constexpr graph::Vertex kUnresolved = kNoSink - 1;
     constexpr graph::Vertex kOnChain = kNoSink - 2;
     constexpr graph::Vertex kLost = kNoSink - 3;
-    auto& next = scratch.next;
     auto& depth = scratch.depth;
     auto& chain = scratch.chain;
-    next.resize(n);
     depth.resize(n);
     sink_.resize(n);
     weights_.resize(n);
 
-    // The only pass over the actions: validate each one, count delegators
-    // and abstainers, and record its successor.  Voters who vote (or
-    // delegate to themselves) and abstainers are resolved on the spot.
+    // One pass over the successor codes: count delegators and abstainers.
+    // Voters who vote (or delegate to themselves) and abstainers are
+    // resolved on the spot.
     for (graph::Vertex v = 0; v < n; ++v) {
-        const Action& a = actions_[v];
-        graph::Vertex to = v;
-        if (a.kind == ActionKind::Delegate) {
-            expects(!a.targets.empty(), "DelegationOutcome: delegation without target");
-            for (graph::Vertex t : a.targets) {
-                expects(t < n, "DelegationOutcome: target out of range");
-            }
-            expects(a.target_weights.empty() ||
-                        a.target_weights.size() == a.targets.size(),
-                    "DelegationOutcome: target weights must match targets");
-            for (double w : a.target_weights) {
-                expects(w > 0.0, "DelegationOutcome: target weights must be positive");
-            }
+        graph::Vertex to = next[v];
+        if (to == kNoSink) {
+            ++stats_.abstainer_count;
+        } else if (to != v) {
             ++stats_.delegator_count;
-            if (a.targets.size() > 1) functional_ = false;
-            to = a.targets.front();
-        } else {
-            expects(a.targets.empty(), "DelegationOutcome: non-delegation with targets");
-            expects(a.target_weights.empty(),
-                    "DelegationOutcome: non-delegation with target weights");
-            if (a.kind == ActionKind::Abstain) {
-                ++stats_.abstainer_count;
-                to = kNoSink;
+            if (to == mech::kSelfDelegate) {
+                to = v;
+            } else {
+                expects(to < n, "DelegationOutcome: target out of range");
             }
         }
-        next[v] = to;
         sink_[v] = to == v || to == kNoSink ? to : kUnresolved;
         depth[v] = 0;
         weights_[v] = to == v ? weight_of(v) : 0;
@@ -124,7 +136,8 @@ void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_we
 
     for (graph::Vertex v = 0; v < n; ++v) {
         if (weights_[v] == 0) continue;
-        invariant(next[v] == v, "weight pooled at a non-voting voter");
+        invariant(next[v] == v || next[v] == mech::kSelfDelegate,
+                  "weight pooled at a non-voting voter");
         voting_sinks_.push_back(v);
         stats_.max_weight = std::max(stats_.max_weight, weights_[v]);
         stats_.cast_weight += weights_[v];
@@ -133,9 +146,17 @@ void DelegationOutcome::finish_rebuild(std::span<const std::uint64_t> initial_we
     stats_.longest_path = longest;
 }
 
+Action DelegationOutcome::action(graph::Vertex v) const {
+    if (!actions_.empty()) return actions_[v];
+    const graph::Vertex to = successors_[v];
+    if (to == v) return Action::vote();
+    if (to == kNoSink) return Action::abstain();
+    return Action::delegate_to(to == mech::kSelfDelegate ? v : to);
+}
+
 graph::Vertex DelegationOutcome::sink_of(graph::Vertex v) const {
     expects(functional_, "sink_of: outcome is not functional (multi-delegation)");
-    expects(v < actions_.size(), "sink_of: voter out of range");
+    expects(v < sink_.size(), "sink_of: voter out of range");
     return sink_[v];
 }
 
@@ -156,7 +177,15 @@ graph::Digraph DelegationOutcome::as_digraph() const {
             arcs.push_back(graph::Arc{v, t});
         }
     }
-    return graph::Digraph(actions_.size(), std::move(arcs));
+    for (graph::Vertex v = 0; v < successors_.size(); ++v) {
+        const graph::Vertex to = successors_[v];
+        if (to == mech::kSelfDelegate) {
+            arcs.push_back(graph::Arc{v, v});
+        } else if (to != v && to != kNoSink) {
+            arcs.push_back(graph::Arc{v, to});
+        }
+    }
+    return graph::Digraph(voter_count(), std::move(arcs));
 }
 
 }  // namespace ld::delegation

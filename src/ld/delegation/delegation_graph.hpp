@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -53,27 +52,34 @@ enum class CyclePolicy : std::uint8_t {
 /// Only *functional* realizations (every delegator has exactly one target)
 /// support sink/weight queries; multi-target realizations (§6 weighted
 /// majority) expose targets for the evaluator to resolve by simulation.
+///
+/// An outcome is built either from per-voter actions (the constructor, or
+/// begin_rebuild/finish_rebuild) or from one successor per voter
+/// (rebuild_from_successors, which realize_into drives for single-target
+/// mechanisms).  Both feed the same walk, and every query answers the same
+/// whichever way the outcome was built.
 class DelegationOutcome {
 public:
     /// Sentinel meaning "no sink" (abstained, drained into an abstainer,
-    /// or — under CyclePolicy::Discard — trapped in a cycle).
-    static constexpr graph::Vertex kNoSink = std::numeric_limits<graph::Vertex>::max();
+    /// or — under CyclePolicy::Discard — trapped in a cycle).  It is also
+    /// an abstainer's successor code, mech::kAbstain.
+    static constexpr graph::Vertex kNoSink = mech::kAbstain;
 
-    /// Reusable scratch for `finish_rebuild`, owned by the caller
-    /// (typically a ReplicationWorkspace) so repeated rebuilds are
-    /// allocation-free.  One pass over the actions validates them and
-    /// writes each voter's successor into `next`: its target, itself if
-    /// it votes (or delegates to itself), `kNoSink` if it abstains.  The
-    /// chain walk, path compression, weights and stats then read only
-    /// flat 4-byte arrays, never the actions.
+    /// Reusable scratch for the rebuilds, owned by the caller (typically a
+    /// ReplicationWorkspace) so repeated rebuilds are allocation-free.
+    /// `next` holds each voter's successor code (mech::successor_of):
+    /// itself if it votes, its delegate, `kNoSink` if it abstains,
+    /// mech::kSelfDelegate if it delegates to itself.  finish_rebuild
+    /// fills it from the actions; a single-target mechanism's
+    /// successors_into fills it directly.  The chain walk, path
+    /// compression, weights and stats then read only flat 4-byte arrays.
     struct ResolveScratch {
-        std::vector<graph::Vertex> next;   // successor per voter
+        std::vector<graph::Vertex> next;   // successor code per voter
         std::vector<std::uint32_t> depth;  // delegation-path length to sink
         std::vector<graph::Vertex> chain;  // current walk, for compression
     };
 
-    /// An empty outcome (0 voters); fill it via begin_rebuild/finish_rebuild
-    /// (the workspace path) or assign over it.
+    /// An empty outcome (0 voters); fill it via a rebuild or assign over it.
     DelegationOutcome() = default;
 
     /// Build from per-voter actions.  Under CyclePolicy::Throw (default),
@@ -89,22 +95,36 @@ public:
                                std::span<const std::uint64_t> initial_weights = {},
                                CyclePolicy cycle_policy = CyclePolicy::Throw);
 
-    /// Zero-allocation rebuild, step 1: clear derived state and expose the
+    /// Rebuild from actions, step 1: clear derived state and expose the
     /// actions buffer for refilling (capacity is retained, including each
     /// action's `targets` vector — pair with Mechanism::act_into).  The
     /// outcome is in an unusable intermediate state until finish_rebuild.
     std::vector<mech::Action>& begin_rebuild();
 
-    /// Zero-allocation rebuild, step 2: validate the refilled actions and
-    /// resolve sinks/weights/stats, reusing this outcome's buffers and the
-    /// caller's scratch.  Semantically identical to constructing a fresh
-    /// outcome from the same actions.
+    /// Rebuild from actions, step 2: validate the refilled actions, map
+    /// each to its successor in `scratch.next` and resolve sinks, weights
+    /// and stats, reusing this outcome's buffers and the caller's scratch.
+    /// Semantically identical to constructing a fresh outcome from the
+    /// same actions.
     void finish_rebuild(std::span<const std::uint64_t> initial_weights,
                         CyclePolicy cycle_policy, ResolveScratch& scratch);
 
-    std::size_t voter_count() const noexcept { return actions_.size(); }
+    /// Rebuild from the successor codes in `scratch.next`, one per voter
+    /// (Mechanism::successors_into), with no per-voter Action.  The same
+    /// outcome as finish_rebuild over the actions those codes stand for.
+    /// Takes `scratch.next` over, leaving another buffer in its place.
+    void rebuild_from_successors(std::span<const std::uint64_t> initial_weights,
+                                 CyclePolicy cycle_policy, ResolveScratch& scratch);
 
-    const mech::Action& action(graph::Vertex v) const { return actions_[v]; }
+    std::size_t voter_count() const noexcept { return sink_.size(); }
+
+    /// Voter `v`'s decision (a copy: an outcome built from successors
+    /// holds no Action).
+    mech::Action action(graph::Vertex v) const;
+
+    /// The actions the outcome was built from, one per voter; empty when it
+    /// was built from successors.  Every multi-target outcome has them.
+    std::span<const mech::Action> actions() const noexcept { return actions_; }
 
     /// True iff every delegation has exactly one target.
     bool functional() const noexcept { return functional_; }
@@ -132,7 +152,14 @@ public:
     std::size_t cycle_losses() const noexcept { return cycle_losses_; }
 
 private:
-    std::vector<mech::Action> actions_;
+    void clear_derived();
+    /// The walk both rebuilds share, over the successor codes in
+    /// `scratch.next`.
+    void resolve(std::span<const std::uint64_t> initial_weights, CyclePolicy cycle_policy,
+                 ResolveScratch& scratch);
+
+    std::vector<mech::Action> actions_;         // empty when built from successors
+    std::vector<graph::Vertex> successors_;     // codes, when built from successors
     std::size_t cycle_losses_ = 0;
     bool functional_ = true;
     std::vector<graph::Vertex> sink_;          // resolved terminal per voter

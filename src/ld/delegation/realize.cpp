@@ -35,12 +35,18 @@ void realize_into(DelegationOutcome& outcome,
                   const mech::Mechanism& mechanism, const model::Instance& instance,
                   rng::Rng& rng, std::span<const std::uint64_t> initial_weights,
                   CyclePolicy cycle_policy) {
-    auto& actions = outcome.begin_rebuild();
-    actions.resize(instance.voter_count());
-    for (graph::Vertex v = 0; v < instance.voter_count(); ++v) {
-        mechanism.act_into(instance, v, rng, actions[v]);
+    if (mechanism.multi_delegation()) {
+        auto& actions = outcome.begin_rebuild();
+        actions.resize(instance.voter_count());
+        for (graph::Vertex v = 0; v < instance.voter_count(); ++v) {
+            mechanism.act_into(instance, v, rng, actions[v]);
+        }
+        outcome.finish_rebuild(initial_weights, cycle_policy, scratch);
+        return;
     }
-    outcome.finish_rebuild(initial_weights, cycle_policy, scratch);
+    scratch.next.resize(instance.voter_count());
+    mechanism.successors_into(instance, rng, scratch.next);
+    outcome.rebuild_from_successors(initial_weights, cycle_policy, scratch);
 }
 
 double expected_direct_voter_count(const mech::Mechanism& mechanism,

@@ -27,11 +27,14 @@ DelegationOutcome realize_weighted(const mech::Mechanism& mechanism,
                                    std::span<const std::uint64_t> initial_weights,
                                    CyclePolicy cycle_policy = CyclePolicy::Throw);
 
-/// Zero-allocation realization into a reused outcome: refills
-/// `outcome`'s action buffers via Mechanism::act_into and re-resolves in
-/// place using `scratch`.  Draws the same RNG stream and produces the same
-/// outcome as `realize_weighted`; after the first few calls on a workspace
-/// the steady state performs no heap allocation at all.
+/// Realization into a reused outcome, the replication loop's path.  A
+/// single-target mechanism draws every voter's successor straight into
+/// `scratch.next` (Mechanism::successors_into), and the outcome resolves
+/// from that array with no per-voter Action; a multi-delegation mechanism
+/// refills the outcome's action buffers via Mechanism::act_into.  Draws
+/// the same RNG stream and produces the same outcome as
+/// `realize_weighted`.  On a reused workspace the rebuild allocates
+/// nothing once warm.
 void realize_into(DelegationOutcome& outcome,
                   DelegationOutcome::ResolveScratch& scratch,
                   const mech::Mechanism& mechanism, const model::Instance& instance,

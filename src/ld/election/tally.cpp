@@ -34,17 +34,21 @@ void sink_profile_into(const DelegationOutcome& outcome,
 
 /// Realize every voter's effective vote (std::nullopt = abstained) into
 /// `vote`.  Votes propagate along delegation arcs in reverse topological
-/// order (`order` as produced by Digraph::topological_order).
+/// order (`order` as produced by Digraph::topological_order).  Reads the
+/// outcome's actions in place: the callers pass only multi-target
+/// outcomes, which are always built from actions.
 void realize_votes_into(const DelegationOutcome& outcome,
                         const model::CompetencyVector& p, rng::Rng& rng,
                         std::span<const graph::Vertex> order,
                         std::vector<std::optional<bool>>& vote) {
     const std::size_t n = outcome.voter_count();
+    const auto actions = outcome.actions();
+    expects(actions.size() == n, "realize_votes: outcome holds no actions");
     vote.assign(n, std::nullopt);
     // Process targets before sources: reverse topological order.
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const graph::Vertex v = *it;
-        const mech::Action& a = outcome.action(v);
+        const mech::Action& a = actions[v];
         switch (a.kind) {
             case ActionKind::Abstain:
                 vote[v] = std::nullopt;
@@ -80,24 +84,6 @@ void realize_votes_into(const DelegationOutcome& outcome,
             }
         }
     }
-}
-
-/// Normal-approximation tail over a sink profile (shared by both approx
-/// overloads once the profile buffers are filled).
-double approx_majority_from_profile(std::span<const std::uint64_t> weights,
-                                    std::span<const double> probs) {
-    double total = 0.0, mean = 0.0, var = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        const auto w = static_cast<double>(weights[i]);
-        total += w;
-        mean += w * probs[i];
-        var += w * w * probs[i] * (1.0 - probs[i]);
-    }
-    const double threshold = total / 2.0;
-    if (var <= 0.0) return mean > threshold ? 1.0 : 0.0;  // deterministic votes
-    // Continuity correction: S is integer-ish on the weight lattice; use
-    // half a unit, the standard correction for the unit-weight case.
-    return 1.0 - prob::normal_cdf(threshold + 0.5, mean, std::sqrt(var));
 }
 
 }  // namespace
@@ -140,17 +126,30 @@ double approx_correct_probability(const DelegationOutcome& outcome,
                                   const model::CompetencyVector& p,
                                   TallyScratch& scratch) {
     expects(outcome.voter_count() == p.size(), "tally: size mismatch");
-    sink_profile_into(outcome, p, scratch.sink_weights, scratch.sink_probs);
-    if (scratch.sink_weights.empty()) return 0.0;
+    const auto& sinks = outcome.voting_sinks();
+    if (sinks.empty()) return 0.0;
     // The CLT needs many sinks; with few, the exact windowed DP is cheap
     // anyway and avoids an O(1) bias (e.g. a dictator sink is a single
     // Bernoulli, not a normal).
-    if (scratch.sink_weights.size() <= 64) {
+    if (sinks.size() <= 64) {
+        sink_profile_into(outcome, p, scratch.sink_weights, scratch.sink_probs);
         return prob::truncated_weighted_majority(scratch.sink_weights,
                                                  scratch.sink_probs, 0.0, scratch.dp)
             .tail;
     }
-    return approx_majority_from_profile(scratch.sink_weights, scratch.sink_probs);
+    const auto& w = outcome.weights();
+    double total = 0.0, mean = 0.0, var = 0.0;
+    for (graph::Vertex s : sinks) {
+        const auto ws = static_cast<double>(w[s]);
+        total += ws;
+        mean += ws * p[s];
+        var += ws * ws * p[s] * (1.0 - p[s]);
+    }
+    const double threshold = total / 2.0;
+    if (var <= 0.0) return mean > threshold ? 1.0 : 0.0;  // deterministic votes
+    // Continuity correction: S is integer-ish on the weight lattice; use
+    // half a unit, the standard correction for the unit-weight case.
+    return 1.0 - prob::normal_cdf(threshold + 0.5, mean, std::sqrt(var));
 }
 
 double conditional_vote_variance(const DelegationOutcome& outcome,

@@ -1,11 +1,13 @@
 // Per-worker scratch for the Monte-Carlo replication loop.  One workspace
 // per worker thread; every replication rebuilds the delegation outcome and
 // tallies it *in place*, so the steady state of the loop performs no heap
-// allocation: the actions vector (including each voter's `targets`
-// buffer), the sink-resolution scratch, the sink profile, the
-// weighted-Bernoulli DP table, and the multi-delegation vote buffers are
-// all recycled across replications — and across experiment cells when the
-// workspace is owned by a ReplicationEngine.
+// allocation.  A single-target mechanism draws each voter's successor
+// straight into the sink-resolution scratch (no per-voter Action); a
+// multi-delegation mechanism refills the outcome's actions vector
+// (including each voter's `targets` buffer).  Those buffers, the sink
+// profile, the weighted-Bernoulli DP table, and the multi-delegation vote
+// buffers are all recycled across replications — and across experiment
+// cells when the workspace is owned by a ReplicationEngine.
 
 #pragma once
 
@@ -21,7 +23,7 @@ namespace ld::election {
 struct ReplicationWorkspace {
     /// The realized delegation graph, rebuilt in place each replication.
     delegation::DelegationOutcome outcome;
-    /// Sink-resolution scratch (chain walk, depths, cycle marks).
+    /// Sink-resolution scratch (successors, chain walk, depths).
     delegation::DelegationOutcome::ResolveScratch resolve;
     /// Inner-tally buffers (sink profile, DP table, sampled votes).
     TallyScratch tally;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "rng/sampling.hpp"
-
 namespace ld::mech {
 
 ApprovalSizeThreshold::ApprovalSizeThreshold(std::size_t threshold)
@@ -11,23 +9,6 @@ ApprovalSizeThreshold::ApprovalSizeThreshold(std::size_t threshold)
 
 std::string ApprovalSizeThreshold::name() const {
     return "ApprovalSizeThreshold(j=" + std::to_string(threshold_) + ")";
-}
-
-Action ApprovalSizeThreshold::act(const model::Instance& instance, graph::Vertex v,
-                                  rng::Rng& rng) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (approved.size() < threshold_) return Action::vote();
-    return Action::delegate_to(approved[rng::uniform_index(rng, approved.size())]);
-}
-
-void ApprovalSizeThreshold::act_into(const model::Instance& instance, graph::Vertex v,
-                                     rng::Rng& rng, Action& out) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (approved.size() < threshold_) {
-        out.assign_vote();
-    } else {
-        out.assign_delegate_to(approved[rng::uniform_index(rng, approved.size())]);
-    }
 }
 
 std::optional<double> ApprovalSizeThreshold::vote_directly_probability(

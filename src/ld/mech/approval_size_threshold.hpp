@@ -8,11 +8,12 @@
 #include <cstddef>
 
 #include "ld/mech/mechanism.hpp"
+#include "rng/sampling.hpp"
 
 namespace ld::mech {
 
 /// Delegate iff the approved-neighbour count reaches a fixed threshold.
-class ApprovalSizeThreshold final : public Mechanism {
+class ApprovalSizeThreshold final : public SuccessorMechanism<ApprovalSizeThreshold> {
 public:
     /// `threshold` — minimum |J(i) ∩ N(i)| required to delegate.  A voter
     /// with an empty approval set always votes directly regardless.
@@ -20,11 +21,12 @@ public:
 
     std::string name() const override;
 
-    Action act(const model::Instance& instance, graph::Vertex v,
-               rng::Rng& rng) const override;
-
-    void act_into(const model::Instance& instance, graph::Vertex v, rng::Rng& rng,
-                  Action& out) const override;
+    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
+                            rng::Rng& rng) const {
+        const auto approved = instance.approved_neighbours_view(v);
+        if (approved.size() < threshold_) return v;
+        return approved[rng::uniform_index(rng, approved.size())];
+    }
 
     std::optional<double> vote_directly_probability(const model::Instance& instance,
                                                     graph::Vertex v) const override;

@@ -2,31 +2,6 @@
 
 namespace ld::mech {
 
-Action BestNeighbour::act(const model::Instance& instance, graph::Vertex v,
-                          rng::Rng&) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (approved.empty()) return Action::vote();
-    graph::Vertex best = approved.front();
-    for (graph::Vertex w : approved) {
-        if (instance.competency(w) > instance.competency(best)) best = w;
-    }
-    return Action::delegate_to(best);
-}
-
-void BestNeighbour::act_into(const model::Instance& instance, graph::Vertex v,
-                             rng::Rng&, Action& out) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (approved.empty()) {
-        out.assign_vote();
-        return;
-    }
-    graph::Vertex best = approved.front();
-    for (graph::Vertex w : approved) {
-        if (instance.competency(w) > instance.competency(best)) best = w;
-    }
-    out.assign_delegate_to(best);
-}
-
 std::optional<double> BestNeighbour::vote_directly_probability(
     const model::Instance& instance, graph::Vertex v) const {
     return instance.approved_neighbours_view(v).empty() ? 1.0 : 0.0;

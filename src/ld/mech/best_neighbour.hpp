@@ -12,15 +12,20 @@ namespace ld::mech {
 
 /// Delegate to the highest-competency approved neighbour (ties → lowest
 /// vertex id); vote directly when no neighbour is approved.
-class BestNeighbour final : public Mechanism {
+class BestNeighbour final : public SuccessorMechanism<BestNeighbour> {
 public:
     std::string name() const override { return "BestNeighbour"; }
 
-    Action act(const model::Instance& instance, graph::Vertex v,
-               rng::Rng& rng) const override;
-
-    void act_into(const model::Instance& instance, graph::Vertex v, rng::Rng& rng,
-                  Action& out) const override;
+    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
+                            rng::Rng&) const {
+        const auto approved = instance.approved_neighbours_view(v);
+        if (approved.empty()) return v;
+        graph::Vertex best = approved.front();
+        for (graph::Vertex w : approved) {
+            if (instance.competency(w) > instance.competency(best)) best = w;
+        }
+        return best;
+    }
 
     std::optional<double> vote_directly_probability(const model::Instance& instance,
                                                     graph::Vertex v) const override;

@@ -8,17 +8,12 @@
 namespace ld::mech {
 
 /// The mechanism that never delegates.
-class DirectVoting final : public Mechanism {
+class DirectVoting final : public SuccessorMechanism<DirectVoting> {
 public:
     std::string name() const override { return "DirectVoting"; }
 
-    Action act(const model::Instance&, graph::Vertex, rng::Rng&) const override {
-        return Action::vote();
-    }
-
-    void act_into(const model::Instance&, graph::Vertex, rng::Rng&,
-                  Action& out) const override {
-        out.assign_vote();
+    graph::Vertex successor(const model::Instance&, graph::Vertex v, rng::Rng&) const {
+        return v;
     }
 
     std::optional<double> vote_directly_probability(const model::Instance&,

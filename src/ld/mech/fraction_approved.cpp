@@ -1,8 +1,5 @@
 #include "ld/mech/fraction_approved.hpp"
 
-#include <cmath>
-
-#include "rng/sampling.hpp"
 #include "support/expect.hpp"
 
 namespace ld::mech {
@@ -15,30 +12,6 @@ FractionApproved::FractionApproved(double fraction) : fraction_(fraction) {
 
 std::string FractionApproved::name() const {
     return "FractionApproved(f=" + std::to_string(fraction_) + ")";
-}
-
-bool FractionApproved::should_delegate(const model::Instance& instance, graph::Vertex v,
-                                       std::size_t approved_count) const {
-    const std::size_t deg = instance.graph().degree(v);
-    if (deg == 0 || approved_count == 0) return false;
-    return static_cast<double>(approved_count) >= fraction_ * static_cast<double>(deg);
-}
-
-Action FractionApproved::act(const model::Instance& instance, graph::Vertex v,
-                             rng::Rng& rng) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (!should_delegate(instance, v, approved.size())) return Action::vote();
-    return Action::delegate_to(approved[rng::uniform_index(rng, approved.size())]);
-}
-
-void FractionApproved::act_into(const model::Instance& instance, graph::Vertex v,
-                                rng::Rng& rng, Action& out) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    if (!should_delegate(instance, v, approved.size())) {
-        out.assign_vote();
-    } else {
-        out.assign_delegate_to(approved[rng::uniform_index(rng, approved.size())]);
-    }
 }
 
 std::optional<double> FractionApproved::vote_directly_probability(

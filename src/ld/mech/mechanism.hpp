@@ -6,14 +6,18 @@
 // through the "arbitrary ranking over the approval set" the paper permits.
 //
 // The interface is sampling-based: `act()` draws one decision for one voter
-// using the caller's Rng.  Mechanisms whose per-voter delegation law is a
-// simple closed form additionally expose `vote_directly_probability()` so
-// tests can check the sampler against the exact law.
+// using the caller's Rng, and `successors_into()` draws a whole
+// single-target realization as one successor per voter, the form the
+// replication loop resolves.  Mechanisms whose per-voter delegation law is
+// a simple closed form additionally expose `vote_directly_probability()`
+// so tests can check the sampler against the exact law.
 
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +80,17 @@ struct Action {
     }
 };
 
+/// Successor codes of a single-target realization (`successors_into`).
+/// A voter's successor is itself when it votes and its delegate when it
+/// delegates; these two codes, above every voter id, cover the rest.
+inline constexpr graph::Vertex kAbstain = std::numeric_limits<graph::Vertex>::max();
+inline constexpr graph::Vertex kSelfDelegate = kAbstain - 1;
+
+/// Voter `v`'s successor code under `action` among `n` voters; a
+/// multi-target delegation maps to its first target.  Runs every check a
+/// delegation outcome makes of an action, with the outcome's messages.
+graph::Vertex successor_of(const Action& action, graph::Vertex v, std::size_t n);
+
 /// Abstract delegation mechanism.
 class Mechanism {
 public:
@@ -92,15 +107,24 @@ public:
     virtual Action act(const model::Instance& instance, graph::Vertex v,
                        rng::Rng& rng) const = 0;
 
-    /// Sample voter `v`'s decision into `out`, reusing its buffers — the
-    /// zero-allocation path the replication workspace drives.  Must consume
-    /// the same RNG stream and produce the same decision as `act`.  The
-    /// default forwards to `act`; hot mechanisms override it to write into
-    /// `out.targets` in place.
+    /// Sample voter `v`'s decision into `out`, reusing its buffers.  Must
+    /// consume the same RNG stream and produce the same decision as `act`.
+    /// The default forwards to `act`.  Multi-delegation realizations are
+    /// drawn this way, one voter at a time.
     virtual void act_into(const model::Instance& instance, graph::Vertex v,
                           rng::Rng& rng, Action& out) const {
         out = act(instance, v, rng);
     }
+
+    /// Draw every voter's decision, in voter order, as one successor code
+    /// per voter (`next.size()` voters; see kAbstain).  Consumes the same
+    /// RNG stream as calling `act` for each voter.  Only for mechanisms
+    /// that are not `multi_delegation()`: the replication loop resolves
+    /// their realizations from `next` alone.  The default runs `act_into`
+    /// into one reused Action and maps it with `successor_of`;
+    /// `SuccessorMechanism` draws straight into `next`.
+    virtual void successors_into(const model::Instance& instance, rng::Rng& rng,
+                                 std::span<graph::Vertex> next) const;
 
     /// Exact probability that voter `v` votes directly (neither delegates
     /// nor abstains), when available in closed form.  Used for testing and
@@ -118,6 +142,42 @@ public:
     /// All approval-respecting mechanisms induce acyclic delegation graphs
     /// because α > 0 strictly increases competency along every arc.
     virtual bool approval_respecting() const { return true; }
+};
+
+/// Base of a single-target mechanism whose whole decision is one inline
+/// draw, `Derived::successor(instance, v, rng)`: `v` to vote, else the
+/// delegate.  `act`, `act_into` and `successors_into` all derive from it,
+/// so they draw the same RNG stream; the batch makes no virtual call and
+/// builds no Action.
+template <typename Derived>
+class SuccessorMechanism : public Mechanism {
+public:
+    Action act(const model::Instance& instance, graph::Vertex v,
+               rng::Rng& rng) const final {
+        Action out;
+        act_into(instance, v, rng, out);
+        return out;
+    }
+
+    void act_into(const model::Instance& instance, graph::Vertex v, rng::Rng& rng,
+                  Action& out) const final {
+        const graph::Vertex to = derived().successor(instance, v, rng);
+        if (to == v) {
+            out.assign_vote();
+        } else {
+            out.assign_delegate_to(to);
+        }
+    }
+
+    void successors_into(const model::Instance& instance, rng::Rng& rng,
+                         std::span<graph::Vertex> next) const final {
+        for (graph::Vertex v = 0; v < next.size(); ++v) {
+            next[v] = derived().successor(instance, v, rng);
+        }
+    }
+
+private:
+    const Derived& derived() const { return static_cast<const Derived&>(*this); }
 };
 
 }  // namespace ld::mech
