@@ -73,30 +73,38 @@ GraphBuilder& GraphBuilder::add_edge(Vertex u, Vertex v) {
 }
 
 Graph GraphBuilder::build() const {
-    std::vector<Edge> edges = raw_;
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
+    // Scatter both endpoints of every insertion, duplicates included, into
+    // CSR rows; then sort, deduplicate and compact each row in place.  A
+    // duplicated edge repeats in both of its rows, so the rows stay
+    // symmetric.
     std::vector<std::size_t> offsets(n_ + 1, 0);
-    for (const Edge& e : edges) {
+    for (const Edge& e : raw_) {
         ++offsets[e.u + 1];
         ++offsets[e.v + 1];
     }
     for (std::size_t i = 1; i <= n_; ++i) offsets[i] += offsets[i - 1];
 
-    std::vector<Vertex> neighbours(edges.size() * 2);
+    std::vector<Vertex> neighbours(raw_.size() * 2);
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge& e : edges) {
+    for (const Edge& e : raw_) {
         neighbours[cursor[e.u]++] = e.v;
         neighbours[cursor[e.v]++] = e.u;
     }
-    // Per-vertex adjacency is ascending because edges were processed in
-    // sorted order for `u` but not for `v`; sort each range to make the
-    // invariant unconditional.
+    const auto at = [&](std::size_t i) {
+        return neighbours.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::size_t kept = 0;
     for (std::size_t v = 0; v < n_; ++v) {
-        std::sort(neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                  neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+        const std::size_t first = offsets[v];
+        const std::size_t last = offsets[v + 1];
+        std::sort(at(first), at(last));
+        const auto row_end = std::unique(at(first), at(last));
+        if (kept != first) std::copy(at(first), row_end, at(kept));  // shift left
+        offsets[v] = kept;
+        kept += static_cast<std::size_t>(row_end - at(first));
     }
+    offsets[n_] = kept;
+    neighbours.resize(kept);
     return Graph(std::move(offsets), std::move(neighbours));
 }
 
