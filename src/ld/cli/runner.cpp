@@ -50,6 +50,14 @@ std::pair<std::size_t, std::size_t> parse_shard(const std::string& value) {
     return {index, count};
 }
 
+/// `--tally-eps <eps>` of run, serve and game: the windowed tally's ε,
+/// in [0, 1).
+double parse_tally_eps(const std::string& value) {
+    const double eps = parse_double(value, "--tally-eps");
+    if (eps < 0.0 || eps >= 1.0) throw SpecError("--tally-eps: must be in [0, 1)");
+    return eps;
+}
+
 /// The end-of-run metrics report: a console table under LIQUIDD_METRICS,
 /// a JSON file at `path`.  `lead` goes before the "wrote" line.
 void report_metrics(const std::optional<std::string>& path, std::ostream& out,
@@ -209,12 +217,7 @@ Options parse_options(const std::vector<std::string>& args) {
             options.max_replications = parse_size(next(), flag);
             if (options.max_replications == 0) throw SpecError("--max-reps: must be >= 1");
         }
-        else if (flag == "--tally-eps") {
-            options.tally_eps = parse_double(next(), flag);
-            if (options.tally_eps < 0.0 || options.tally_eps >= 1.0) {
-                throw SpecError("--tally-eps: must be in [0, 1)");
-            }
-        }
+        else if (flag == "--tally-eps") options.tally_eps = parse_tally_eps(next());
         else if (flag == "--certify") {
             options.certify_gamma = parse_double(next(), "--certify <gamma>");
             options.certify_delta = parse_double(next(), "--certify <delta>");
@@ -569,12 +572,7 @@ ServeOptions parse_serve_options(const std::vector<std::string>& args) {
         }
         else if (flag == "--queue-capacity") options.queue_capacity = parse_size(next(), flag);
         else if (flag == "--threads") options.threads = parse_size(next(), flag);
-        else if (flag == "--tally-eps") {
-            options.tally_eps = parse_double(next(), flag);
-            if (options.tally_eps < 0.0 || options.tally_eps >= 1.0) {
-                throw SpecError("--tally-eps: must be in [0, 1)");
-            }
-        }
+        else if (flag == "--tally-eps") options.tally_eps = parse_tally_eps(next());
         else if (flag == "--deadline-ms") options.deadline_ms = parse_size(next(), flag);
         else if (flag == "--write-timeout-ms") options.write_timeout_ms = parse_size(next(), flag);
         else if (flag == "--metrics-out") options.metrics_out = next();
@@ -904,7 +902,7 @@ GameCliOptions parse_game_options(const std::vector<std::string>& args) {
                 throw SpecError("--viscosity: expected a value in (0, 1]");
             }
         }
-        else if (flag == "--tally-eps") options.tally_eps = parse_double(next(), flag);
+        else if (flag == "--tally-eps") options.tally_eps = parse_tally_eps(next());
         else if (flag == "--shuffle-seed") options.shuffle_seed = parse_size(next(), flag);
         else if (flag == "--fixed-order") options.fixed_order = true;
         else if (flag == "--load-instance") options.load_path = next();

@@ -185,6 +185,23 @@ TEST(OptionParsing, NonFiniteAndOutOfRangeNumbersAreRejected) {
         EXPECT_THROW(cli::parse_serve_options({"--socket", "s", "--tally-eps", value}),
                      SpecError);
     }
+    // A tally ε out of [0, 1) is refused by run, serve and game alike, with
+    // a message that names the flag and carries no source location.
+    const auto expect_eps_refused = [](const auto& parse) {
+        try {
+            parse();
+            ADD_FAILURE() << "accepted";
+        } catch (const SpecError& e) {
+            EXPECT_EQ(std::string(e.what()), "--tally-eps: must be in [0, 1)");
+        }
+    };
+    for (const std::string value : {"2", "-1"}) {
+        SCOPED_TRACE(value);
+        expect_eps_refused([&] { cli::parse_options({"--tally-eps", value}); });
+        expect_eps_refused(
+            [&] { cli::parse_serve_options({"--socket", "s", "--tally-eps", value}); });
+        expect_eps_refused([&] { cli::parse_game_options({"--tally-eps", value}); });
+    }
     EXPECT_EQ(cli::parse_options({"--n", "1e3"}).n, 1000u);
     EXPECT_EQ(cli::parse_options({"--seed", "0x10"}).seed, 16u);
 
