@@ -279,16 +279,20 @@ void EventFront::read_pass(const std::shared_ptr<Conn>& conn) {
             conn->read_closed_ = true;
             break;
         }
+        // The bytes held from earlier reads hold no '\n': search only the
+        // new ones, so a line dribbled in over many reads is scanned once.
+        const std::size_t scanned = conn->in_buffer_.size();
         conn->in_buffer_.append(chunk, *got);
         std::size_t start = 0;
-        std::size_t newline;
-        while ((newline = conn->in_buffer_.find('\n', start)) != std::string::npos) {
+        std::size_t newline = conn->in_buffer_.find('\n', scanned);
+        while (newline != std::string::npos) {
             std::size_t end = newline;
             if (end > start && conn->in_buffer_[end - 1] == '\r') --end;
             const std::string line = conn->in_buffer_.substr(start, end - start);
             start = newline + 1;
             on_line_(conn, line);
             if (!conn->socket_.valid() || conn->dead()) return;
+            newline = conn->in_buffer_.find('\n', start);
         }
         conn->in_buffer_.erase(0, start);
     }

@@ -214,6 +214,21 @@ TEST(ServeEventLoop, FragmentedFramesAcrossWakeupsParseCorrectly) {
     ASSERT_TRUE(reader.read_line(line));
     EXPECT_EQ(json::parse(line).at("id").as_number(), 4.0);
 
+    // A CRLF split across two reads is one line end: the '\r' ends one
+    // write and the '\n' starts the next.  Two line ends would add an
+    // empty line, answered with a bad_request between ids 5 and 6.
+    const std::string crlf_head = health_request(5) + "\r";
+    ASSERT_EQ(::send(client.fd(), crlf_head.data(), crlf_head.size(), 0),
+              static_cast<ssize_t>(crlf_head.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::string crlf_tail = "\n" + health_request(6) + "\n";
+    ASSERT_EQ(::send(client.fd(), crlf_tail.data(), crlf_tail.size(), 0),
+              static_cast<ssize_t>(crlf_tail.size()));
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_EQ(json::parse(line).at("id").as_number(), 5.0);
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_EQ(json::parse(line).at("id").as_number(), 6.0);
+
     server.request_drain();
     EXPECT_EQ(server.wait(), 0);
 }
