@@ -174,6 +174,20 @@ TEST(JsonRoundTrip, EscapeHeavyStringsSurvive) {
     }
 }
 
+// A \u surrogate pair is one code point, written as one 4-byte UTF-8
+// sequence; a surrogate alone has no UTF-8 form, so it is malformed input
+// instead of bytes a reply would echo back.
+TEST(JsonParse, SurrogatePairsDecodeAndLoneSurrogatesThrow) {
+    const json::Value pair = json::parse(R"("\ud83d\ude00")");
+    EXPECT_EQ(pair.as_string(), "\xF0\x9F\x98\x80");
+    EXPECT_EQ(json::parse(json::dump(pair)), pair);
+    EXPECT_EQ(json::parse(R"("\u0041\u00e9\u2192")").as_string(), "Aé→");
+    for (const char* text : {R"("\ud800")", R"("\udc00")", R"("\ud800A")",
+                             R"("\ud800\u0041")", R"("\udc00\ud800")"}) {
+        EXPECT_THROW(json::parse(text), json::Error) << text;
+    }
+}
+
 // `depth` nested arrays, or objects {"k": ...}, around a 1.
 std::string nested(std::size_t depth, bool objects) {
     std::string text;

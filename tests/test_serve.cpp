@@ -140,6 +140,14 @@ TEST(ServeProtocol, IdOfLineIsBestEffort) {
     EXPECT_TRUE(serve::id_of_line("garbage").is_null());
 }
 
+// A lone surrogate in a request is malformed JSON: bad_request, null id.
+TEST(ServeProtocol, LoneSurrogateIsMalformedJson) {
+    const std::string line = R"({"id": "\ud800", "method": "health"})";
+    EXPECT_THROW(serve::parse_request(line, std::chrono::steady_clock::now()),
+                 serve::ProtocolError);
+    EXPECT_TRUE(serve::id_of_line(line).is_null());
+}
+
 TEST(ServeProtocol, HandshakeNamesSchemaBuildAndMethods) {
     const json::Value handshake = json::parse(serve::render_handshake());
     EXPECT_EQ(handshake.at("schema").as_string(), serve::kSchema);
