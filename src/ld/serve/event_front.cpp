@@ -191,9 +191,24 @@ void EventFront::run_loop() {
     try {
         loop_->run();
     } catch (const std::exception& error) {
-        // An epoll-layer failure here is unrecoverable for the serve
-        // transport; surface it rather than dying silently.
+        // An epoll-layer failure or a throwing line handler ends the
+        // transport: surface it, run the tasks already posted (drain
+        // calls from here on run inline), and ask the owner to drain.
         std::fprintf(stderr, "liquidd serve: event loop failed: %s\n", error.what());
+        {
+            // Under the lock no task is posted, so every post_and_wait
+            // either got its task run here or runs inline after the flag.
+            std::lock_guard<std::mutex> lock(post_mutex_);
+            loop_->stop();
+            try {
+                loop_->run();  // stopped: runs the queued tasks once and returns
+            } catch (const std::exception&) {
+                // The tasks after the one that threw are dropped; their
+                // post_and_wait callers run them inline.
+            }
+            loop_failed_.store(true, std::memory_order_release);
+        }
+        if (on_drain_signal_) on_drain_signal_();
     }
 }
 
@@ -365,18 +380,28 @@ void EventFront::on_tick() {
 }
 
 void EventFront::post_and_wait(const std::function<void()>& fn) {
-    if (!started_ || shut_down_ || !loop_thread_.joinable() ||
-        loop_->on_loop_thread()) {
+    std::future<void> finished;
+    {
+        std::lock_guard<std::mutex> lock(post_mutex_);
+        if (started_ && !shut_down_ && !loop_failed() && loop_thread_.joinable() &&
+            !loop_->on_loop_thread()) {
+            auto done = std::make_shared<std::promise<void>>();
+            finished = done->get_future();
+            loop_->post([&fn, done] {
+                fn();
+                done->set_value();
+            });
+        }
+    }
+    if (!finished.valid()) {
         fn();
         return;
     }
-    std::promise<void> done;
-    auto finished = done.get_future();
-    loop_->post([&fn, &done] {
-        fn();
-        done.set_value();
-    });
-    finished.wait();
+    try {
+        finished.get();
+    } catch (const std::future_error&) {
+        fn();  // the loop failed and dropped the task unrun
+    }
 }
 
 void EventFront::barrier() {
@@ -409,6 +434,7 @@ void EventFront::settle_inputs() {
 bool EventFront::flush_all(std::chrono::milliseconds timeout) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (true) {
+        if (loop_failed()) return false;  // nothing flushes without the loop
         bool pending = false;
         post_and_wait([this, &pending] {
             for (const auto& entry : conns_) {

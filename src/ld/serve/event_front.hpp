@@ -118,7 +118,8 @@ public:
     /// `on_line` runs on the loop thread for every complete request
     /// line — it must either answer inline (cheap methods) or enqueue
     /// and return (evals).  `on_drain_signal` fires once when
-    /// config.signal_wake_fd becomes readable.
+    /// config.signal_wake_fd becomes readable, and once when the loop
+    /// fails (see loop_failed).
     EventFront(FrontConfig config, LineHandler on_line,
                std::function<void()> on_drain_signal = {});
 
@@ -139,6 +140,12 @@ public:
     /// Descriptors registered with the loop (listeners + connections +
     /// wake/signal fds) — exported as the `loop.fds` gauge.
     std::size_t loop_fd_count() const noexcept { return loop_->fd_count(); }
+
+    /// Whether the loop thread ended on an exception (an epoll failure or
+    /// a throwing line handler).  The drain calls below then run inline.
+    bool loop_failed() const noexcept {
+        return loop_failed_.load(std::memory_order_acquire);
+    }
 
     // Drain sequence (called in this order by Server/ShardRouter):
 
@@ -171,7 +178,7 @@ private:
     void on_tick();
     void barrier();  ///< post a no-op and wait for it
     /// Run `fn` on the loop thread and wait; runs inline when the loop
-    /// is not running (or the caller *is* the loop thread).
+    /// is not running or has failed (or the caller *is* the loop thread).
     void post_and_wait(const std::function<void()>& fn);
 
     FrontConfig config_;
@@ -187,6 +194,10 @@ private:
     std::unordered_map<int, std::shared_ptr<Conn>> conns_;  ///< loop thread only
     std::atomic<std::size_t> conn_count_{0};
     std::atomic<bool> accepting_{true};
+    /// Held while post_and_wait posts, and while a failed loop runs its
+    /// last tasks and sets loop_failed_: no task is left with a waiter.
+    std::mutex post_mutex_;
+    std::atomic<bool> loop_failed_{false};
     bool listeners_paused_ = false;  ///< fd exhaustion backoff (loop thread)
     bool started_ = false;
     bool shut_down_ = false;

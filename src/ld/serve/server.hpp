@@ -107,7 +107,7 @@ public:
 
     /// Block until a drain is requested, then tear down: finish admitted
     /// evals, close connections, flush metrics.  Returns the process
-    /// exit code (0).
+    /// exit code: 0, or 1 after an event-loop failure.
     int wait();
 
     /// Trigger a graceful drain (thread-safe; idempotent).

@@ -95,7 +95,7 @@ public:
 
     /// Block until a drain is requested, then tear down: wait (bounded)
     /// for in-flight responses, close backends and clients, flush
-    /// metrics.  Returns the process exit code (0).
+    /// metrics.  Returns the process exit code: 0, or 1 after an event-loop failure.
     int wait();
 
     /// Trigger a graceful drain (thread-safe; idempotent).

@@ -12,7 +12,9 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 
 #include "ld/serve/event_front.hpp"
 #include "ld/serve/server.hpp"
+#include "read_deadline.hpp"
 #include "support/event_loop.hpp"
 #include "support/json.hpp"
 #include "support/net.hpp"
@@ -231,6 +234,55 @@ TEST(ServeEventLoop, FragmentedFramesAcrossWakeupsParseCorrectly) {
 
     server.request_drain();
     EXPECT_EQ(server.wait(), 0);
+}
+
+// A line handler that throws ends the loop thread.  The front says so and
+// asks its owner to drain, and every drain call still returns: none waits
+// on a task posted to the dead loop.
+TEST(ServeEventLoop, DrainReturnsAfterTheLoopFails) {
+    serve::FrontConfig config;
+    config.unix_socket = socket_path("loopfail");
+    std::atomic<bool> drain_requested{false};
+    serve::EventFront front(
+        config,
+        [](const std::shared_ptr<serve::Conn>& conn, const std::string& line) {
+            if (line == "boom") throw std::runtime_error("line handler failed");
+            conn->send(line);
+        },
+        [&] { drain_requested = true; });
+    front.start();
+
+    net::Socket client = net::connect_unix(config.unix_socket);
+    ASSERT_TRUE(ld::test::set_read_deadline(client));
+    net::LineReader reader(client);
+    const std::string lines = "echo\nboom\n";
+    ASSERT_EQ(::send(client.fd(), lines.data(), lines.size(), 0),
+              static_cast<ssize_t>(lines.size()));
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_EQ(line, "echo");
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!drain_requested && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(drain_requested);
+    EXPECT_TRUE(front.loop_failed());
+
+    std::promise<void> drained;
+    std::thread drain([&] {
+        front.stop_accepting();
+        front.settle_inputs();
+        front.flush_all(std::chrono::milliseconds(2'000));
+        front.close_all();
+        front.shutdown();
+        drained.set_value();
+    });
+    // On a hang the test fails here, and the joinable thread then ends the
+    // binary instead of hanging it.
+    ASSERT_EQ(drained.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    drain.join();
+    EXPECT_FALSE(reader.read_line(line));  // closed: EOF
 }
 
 TEST(ServeEventLoop, HalfClosedPeerStillReceivesItsResponses) {
