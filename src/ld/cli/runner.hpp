@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "ld/election/tally.hpp"
+#include "ld/election/evaluator.hpp"
 
 namespace ld::cli {
 
@@ -21,19 +21,9 @@ struct Options {
     std::string mechanism_spec = "threshold:1";
     std::size_t n = 100;
     double alpha = 0.05;
-    std::size_t replications = 200;
     std::uint64_t seed = 1;
     bool audit = false;            ///< run the Lemma 3 / Lemma 5 audits
-    bool discard_cycles = false;   ///< CyclePolicy::Discard (noisy mechanisms)
-    std::size_t threads = 1;       ///< replication workers (0 = auto: pool size)
-    bool approximate = false;      ///< Lemma-4 normal-approximation tallies
-    double target_se = 0.0;        ///< --target-se: adaptive stopping (0 = fixed reps)
-    std::size_t max_replications = 100'000;  ///< --max-reps: adaptive ceiling
-    double tally_eps = election::kDefaultTallyEpsilon;  ///< --tally-eps: windowed tally ε
-                                                        ///< (0 = exact)
-    double certify_gamma = 0.0;    ///< --certify <gamma> <delta>: gain threshold
-    double certify_delta = 0.0;    ///< --certify: error budget (0 = off)
-    std::string cs_boundary = "empirical_bernstein";  ///< --cs-boundary
+    election::EvalOptions eval{};  ///< eval flags (eval_options.hpp); threads 0 = auto
     std::optional<std::string> dot_path;  ///< write one realization as DOT
     std::optional<std::string> load_path; ///< load instance (overrides graph/competencies/n/alpha)
     std::optional<std::string> save_path; ///< save the built instance

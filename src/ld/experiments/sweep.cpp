@@ -9,6 +9,7 @@
 #include <string_view>
 #include <utility>
 
+#include "ld/cli/eval_options.hpp"
 #include "ld/cli/specs.hpp"
 #include "ld/experiments/harness.hpp"  // stable_seed
 #include "ld/election/evaluator.hpp"
@@ -17,10 +18,8 @@
 #include "support/build_info.hpp"
 #include "support/cpu_features.hpp"
 #include "support/csv_writer.hpp"
-#include "support/expect.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ld::experiments {
 
@@ -165,9 +164,8 @@ SweepSpec SweepSpec::from_json(const json::Value& doc) {
         spec.seed = static_cast<std::uint64_t>(require_count(*seed, "seed"));
     }
     if (const json::Value* reps = doc.find("replications")) {
-        spec.replications = require_count(*reps, "replications");
+        spec.eval.replications = require_count(*reps, "replications");
     }
-    if (spec.replications == 0) spec_error("replications", "must be >= 1");
 
     const json::Value* axes = doc.find("axes");
     if (!axes || !axes->is_object()) spec_error("axes", "required object");
@@ -192,61 +190,16 @@ SweepSpec SweepSpec::from_json(const json::Value& doc) {
     spec.competencies = string_axis(*axes, "competencies");
     spec.mechanisms = string_axis(*axes, "mechanism");
 
-    if (const json::Value* options = doc.find("options")) {
-        if (!options->is_object()) spec_error("options", "expected object");
-        for (const auto& [key, value] : options->as_object()) {
-            if (key == "threads") spec.threads = require_count(value, "options.threads");
-            else if (key == "inner_samples") {
-                spec.inner_samples = require_count(value, "options.inner_samples");
-                if (spec.inner_samples == 0) spec_error("options.inner_samples", "must be >= 1");
-            } else if (key == "discard_cycles") {
-                if (!value.is_bool()) spec_error("options.discard_cycles", "expected bool");
-                spec.discard_cycles = value.as_bool();
-            } else if (key == "approximate") {
-                if (!value.is_bool()) spec_error("options.approximate", "expected bool");
-                spec.approximate = value.as_bool();
-            } else if (key == "target_se") {
-                spec.target_std_error = require_number(value, "options.target_se");
-                if (spec.target_std_error < 0) {
-                    spec_error("options.target_se", "must be >= 0");
-                }
-            } else if (key == "adaptive_batch") {
-                spec.adaptive_batch = require_count(value, "options.adaptive_batch");
-                if (spec.adaptive_batch == 0) {
-                    spec_error("options.adaptive_batch", "must be >= 1");
-                }
-            } else if (key == "max_reps") {
-                spec.max_replications = require_count(value, "options.max_reps");
-                if (spec.max_replications == 0) {
-                    spec_error("options.max_reps", "must be >= 1");
-                }
-            } else if (key == "tally_eps") {
-                spec.tally_epsilon = require_number(value, "options.tally_eps");
-                if (spec.tally_epsilon < 0 || spec.tally_epsilon >= 1) {
-                    spec_error("options.tally_eps", "must be in [0, 1)");
-                }
-            } else if (key == "certify_gamma") {
-                spec.certify_gamma = require_number(value, "options.certify_gamma");
-            } else if (key == "certify_delta") {
-                spec.certify_delta = require_number(value, "options.certify_delta");
-                if (spec.certify_delta < 0 || spec.certify_delta >= 1) {
-                    spec_error("options.certify_delta", "must be in [0, 1)");
-                }
-            } else if (key == "certify_boundary") {
-                if (!value.is_string()) {
-                    spec_error("options.certify_boundary", "expected string");
-                }
-                spec.certify_boundary = value.as_string();
-                try {
-                    stats::parse_cs_boundary(spec.certify_boundary);
-                } catch (const support::ContractViolation& e) {
-                    spec_error("options.certify_boundary", e.what());
-                }
-            } else {
-                spec_error("options." + key, "unknown option");
-            }
-        }
+    const json::Value* options = doc.find("options");
+    if (options && !options->is_object()) spec_error("options", "expected object");
+    try {
+        if (options) cli::read_eval_json(*options, cli::EvalFront::Sweep, spec.eval);
+        cli::check_eval(spec.eval, cli::EvalFront::Sweep);
+    } catch (const cli::SpecError& e) {
+        throw SweepError(e.what());
     }
+    const json::Value* boundary = options ? options->find("certify_boundary") : nullptr;
+    if (boundary) spec.certify_boundary = boundary->as_string();
     return spec;
 }
 
@@ -270,12 +223,13 @@ std::uint64_t SweepSpec::fingerprint() const {
     std::ostringstream canon;
     const char sep = '\x1f';
     canon << "liquidd.sweep-spec.v1" << sep << name << sep << seed << sep
-          << replications << sep << inner_samples << sep << discard_cycles << sep
-          << approximate << sep << json::format_number(target_std_error) << sep
-          << adaptive_batch << sep << max_replications << sep
-          << json::format_number(tally_epsilon) << sep
-          << json::format_number(certify_gamma) << sep
-          << json::format_number(certify_delta) << sep << certify_boundary << sep;
+          << eval.replications << sep << eval.inner_samples << sep
+          << (eval.cycle_policy == delegation::CyclePolicy::Discard) << sep
+          << eval.approximate_tally << sep << json::format_number(eval.target_std_error)
+          << sep << eval.adaptive_batch << sep << eval.max_replications << sep
+          << json::format_number(eval.tally_epsilon) << sep
+          << json::format_number(eval.certify.gamma) << sep
+          << json::format_number(eval.certify.delta) << sep << certify_boundary << sep;
     for (std::size_t n : ns) canon << 'n' << n << sep;
     for (double a : alphas) canon << 'a' << json::format_number(a) << sep;
     for (const auto& g : graphs) canon << 'g' << g << sep;
@@ -299,9 +253,8 @@ SweepEngine::SweepEngine(SweepSpec spec, SweepOptions options)
     if (options_.shard.index >= options_.shard.count) {
         throw SweepError("sweep: shard index must be < shard count");
     }
-    const std::size_t requested = options_.threads.value_or(spec_.threads);
-    resolved_threads_ =
-        requested == 0 ? support::ThreadPool::global().worker_count() : requested;
+    spec_.eval.threads =
+        cli::resolve_threads(options_.threads.value_or(spec_.eval.threads));
 }
 
 const std::vector<std::string>& SweepEngine::row_headers() {
@@ -345,31 +298,14 @@ std::vector<SweepCell> SweepEngine::cells() const {
 }
 
 SweepEngine::Row SweepEngine::run_cell(const SweepCell& cell) const {
+    // Building the mechanism draws nothing from the Rng, so its checks
+    // refuse the cell before the instance is built.
+    const auto mechanism = cli::make_mechanism(cell.mechanism);
+    cli::check_eval(spec_.eval, cli::EvalFront::Sweep, mechanism.get(), cell.mechanism);
     rng::Rng rng(cell.seed);
     const model::Instance instance =
         cli::make_instance(cell.graph, cell.competency, cell.n, cell.alpha, rng);
-    const auto mechanism = cli::make_mechanism(cell.mechanism);
-    if (!mechanism->approval_respecting() && !spec_.discard_cycles) {
-        throw cli::SpecError("mechanism '" + cell.mechanism +
-                             "' can create delegation cycles; set options.discard_cycles");
-    }
-
-    election::EvalOptions eval;
-    eval.replications = spec_.replications;
-    eval.target_std_error = spec_.target_std_error;
-    eval.adaptive_batch = spec_.adaptive_batch;
-    eval.max_replications = spec_.max_replications;
-    eval.tally_epsilon = spec_.tally_epsilon;
-    eval.inner_samples = spec_.inner_samples;
-    eval.threads = resolved_threads_;
-    eval.approximate_tally = spec_.approximate;
-    if (spec_.discard_cycles) eval.cycle_policy = delegation::CyclePolicy::Discard;
-    if (spec_.certify_delta > 0.0) {
-        eval.certify.gamma = spec_.certify_gamma;
-        eval.certify.delta = spec_.certify_delta;
-        eval.certify.boundary = stats::parse_cs_boundary(spec_.certify_boundary);
-    }
-    const auto report = election::estimate_gain(*mechanism, instance, rng, eval);
+    const auto report = election::estimate_gain(*mechanism, instance, rng, spec_.eval);
 
     // Certified columns: empty strings when certification is off, so
     // fixed/adaptive sweeps keep byte-stable rows.
@@ -387,7 +323,7 @@ SweepEngine::Row SweepEngine::run_cell(const SweepCell& cell) const {
                cell.graph,
                cell.competency,
                cell.mechanism,
-               // Actual replication count: equals spec_.replications in
+               // Actual replication count: equals spec_.eval.replications in
                // fixed mode, the adaptive stopping point otherwise.
                static_cast<long long>(report.pm.replications),
                hex_seed(cell.seed),
@@ -418,7 +354,7 @@ void SweepEngine::write_checkpoint(const std::map<std::size_t, Row>& done) const
     shard.emplace("index", json::Value(static_cast<double>(options_.shard.index)));
     shard.emplace("count", json::Value(static_cast<double>(options_.shard.count)));
     manifest.emplace("shard", json::Value(std::move(shard)));
-    manifest.emplace("threads", json::Value(static_cast<double>(resolved_threads_)));
+    manifest.emplace("threads", json::Value(static_cast<double>(spec_.eval.threads)));
     manifest.emplace("cell_count", json::Value(static_cast<double>(spec_.cell_count())));
     json::Array headers;
     for (const auto& h : row_headers()) headers.emplace_back(h);
@@ -471,7 +407,7 @@ std::map<std::size_t, SweepEngine::Row> SweepEngine::load_checkpoint() const {
               static_cast<std::size_t>(doc.at("shard").at("count").as_number()) ==
                   options_.shard.count,
           "shard assignment differs");
-    check(static_cast<std::size_t>(doc.at("threads").as_number()) == resolved_threads_,
+    check(static_cast<std::size_t>(doc.at("threads").as_number()) == spec_.eval.threads,
           "thread count differs (the replication split depends on it)");
 
     const std::size_t width = row_headers().size();
@@ -518,7 +454,7 @@ SweepResult SweepEngine::run(std::ostream& log) {
             log << ", shard " << options_.shard.index << "/" << options_.shard.count
                 << " -> " << mine.size() << " cells";
         }
-        log << ", " << resolved_threads_ << " thread(s), resume "
+        log << ", " << spec_.eval.threads << " thread(s), resume "
             << (options_.resume ? "on" : "off") << "\n";
     }
 

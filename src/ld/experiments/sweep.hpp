@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "ld/election/tally.hpp"
+#include "ld/election/evaluator.hpp"
 #include "support/json.hpp"
 #include "support/table_printer.hpp"  // for Cell
 
@@ -52,21 +52,10 @@ public:
 struct SweepSpec {
     std::string name;                       ///< required; seeds and reports use it
     std::uint64_t seed = 1;                 ///< sweep master seed
-    std::size_t replications = 200;         ///< Monte-Carlo replications per cell
-    std::size_t inner_samples = 8;          ///< EvalOptions::inner_samples
-    std::size_t threads = 1;                ///< replication workers (0 = auto)
-    bool discard_cycles = false;            ///< CyclePolicy::Discard for all cells
-    bool approximate = false;               ///< Lemma-4 normal-approximation tally
-    double target_std_error = 0.0;          ///< options.target_se: adaptive stopping
-                                            ///< (0 = fixed replication count)
-    std::size_t adaptive_batch = 64;        ///< options.adaptive_batch
-    std::size_t max_replications = 100'000; ///< options.max_reps: adaptive ceiling
-    double tally_epsilon = election::kDefaultTallyEpsilon;  ///< options.tally_eps:
-                                            ///< certified windowed tally (0 = exact)
-    double certify_gamma = 0.0;             ///< options.certify_gamma: gain threshold
-    double certify_delta = 0.0;             ///< options.certify_delta: error budget
-                                            ///< (> 0 enables certified stopping)
-    std::string certify_boundary = "empirical_bernstein";  ///< options.certify_boundary
+    election::EvalOptions eval{};  ///< `replications`, `options` (0 threads = auto)
+    /// options.certify_boundary as written: the fingerprint hashes the
+    /// spelling, so `eb` and `empirical_bernstein` fingerprint apart.
+    std::string certify_boundary = "empirical_bernstein";
     std::vector<std::size_t> ns;            ///< axis "n"
     std::vector<double> alphas;             ///< axis "alpha"
     std::vector<std::string> graphs;        ///< axis "graph"
@@ -162,7 +151,7 @@ public:
     SweepResult run(std::ostream& log);
 
     /// Replication workers cells will actually use (0-auto resolved).
-    std::size_t resolved_threads() const noexcept { return resolved_threads_; }
+    std::size_t resolved_threads() const noexcept { return spec_.eval.threads; }
 
     const SweepSpec& spec() const noexcept { return spec_; }
     const SweepOptions& options() const noexcept { return options_; }
@@ -174,9 +163,8 @@ private:
     void write_checkpoint(const std::map<std::size_t, Row>& done) const;
     std::map<std::size_t, Row> load_checkpoint() const;
 
-    SweepSpec spec_;
+    SweepSpec spec_;  ///< eval.threads resolved (0 = auto -> pool size)
     SweepOptions options_;
-    std::size_t resolved_threads_ = 1;
 };
 
 }  // namespace ld::experiments

@@ -1,14 +1,6 @@
 #include "ld/serve/params.hpp"
 
-#include <cmath>
-
 namespace ld::serve {
-
-std::optional<std::uint64_t> count_of(double d) noexcept {
-    // Written so that NaN fails the range test too.
-    if (!(d >= 0.0 && d <= kMaxParamCount) || d != std::floor(d)) return std::nullopt;
-    return static_cast<std::uint64_t>(d);
-}
 
 void bad_param(const std::string& key, const std::string& what) {
     throw ProtocolError(ErrorCode::BadRequest, "params." + key + ": " + what);
@@ -38,7 +30,8 @@ double require_number(const json::Value& params, const std::string& key) {
 }
 
 std::uint64_t require_count(const json::Value& params, const std::string& key) {
-    const std::optional<std::uint64_t> count = count_of(require_number(params, key));
+    const std::optional<std::uint64_t> count =
+        json::count_of(require_number(params, key));
     if (!count) bad_param(key, "expected a non-negative integer <= 2^53");
     return *count;
 }

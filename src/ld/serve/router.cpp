@@ -2,15 +2,13 @@
 
 #include <sstream>
 
+#include "ld/cli/eval_options.hpp"
 #include "ld/cli/specs.hpp"
-#include "ld/delegation/delegation_graph.hpp"
 #include "ld/election/evaluator.hpp"
 #include "ld/serve/params.hpp"
 #include "stats/confidence_sequence.hpp"
-#include "support/expect.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ld::serve {
 
@@ -21,25 +19,13 @@ namespace {
 /// (`--threads`) is not capped.
 constexpr std::size_t kMaxRequestThreads = 1024;
 
-// Optional params: the fallback when absent, the checks of
+// An optional param: the fallback when absent, the checks of
 // ld/serve/params.hpp when present.
 
 std::size_t optional_count(const json::Value& params, const std::string& key,
                            std::size_t fallback) {
     if (!params.is_object() || !params.find(key)) return fallback;
     return require_count(params, key);
-}
-
-double optional_number(const json::Value& params, const std::string& key,
-                       double fallback) {
-    if (!params.is_object() || !params.find(key)) return fallback;
-    return require_number(params, key);
-}
-
-std::string optional_string(const json::Value& params, const std::string& key,
-                            const std::string& fallback) {
-    if (!params.is_object() || !params.find(key)) return fallback;
-    return require_string(params, key);
 }
 
 /// params.graph.  A `file:` graph is refused before anything opens it:
@@ -50,13 +36,6 @@ std::string require_graph_spec(const json::Value& params) {
         bad_param("graph", "file: graphs are not served");
     }
     return spec;
-}
-
-bool optional_bool(const json::Value& params, const std::string& key, bool fallback) {
-    if (!params.is_object() || !params.find(key)) return fallback;
-    const json::Value& value = params.at(key);
-    if (!value.is_bool()) bad_param(key, "expected a bool");
-    return value.as_bool();
 }
 
 json::Object report_to_json(const election::GainReport& report) {
@@ -172,72 +151,28 @@ std::string Router::handle(const Request& request) {
 json::Object Router::do_eval(const json::Value& params) {
     const std::string mechanism_spec = require_string(params, "mechanism");
     const std::uint64_t seed = optional_count(params, "seed", 1);
-    const std::size_t replications = optional_count(params, "replications", 200);
-    if (replications == 0 || replications > config_.max_replications) {
-        bad_param("replications",
-                  "must be in [1, " + std::to_string(config_.max_replications) + "]");
-    }
 
+    // The server's defaults, then the request's knobs (ld/cli/eval_options.hpp).
     election::EvalOptions eval;
-    eval.replications = replications;
-    eval.inner_samples = optional_count(params, "inner_samples", eval.inner_samples);
-    eval.approximate_tally = optional_bool(params, "approximate", false);
-    // Adaptive stopping: a target standard error replaces the fixed
-    // replication count; the ceiling stays under the admission cap.
-    eval.target_std_error = optional_number(params, "target_se", 0.0);
-    if (eval.target_std_error < 0.0) bad_param("target_se", "must be >= 0");
-    eval.max_replications = optional_count(params, "max_replications",
-                                           std::min(eval.max_replications,
-                                                    config_.max_replications));
-    if (eval.max_replications == 0 ||
-        eval.max_replications > config_.max_replications) {
-        bad_param("max_replications",
-                  "must be in [1, " + std::to_string(config_.max_replications) + "]");
-    }
-    eval.tally_epsilon =
-        optional_number(params, "tally_eps", config_.default_tally_epsilon);
-    if (eval.tally_epsilon < 0.0 || eval.tally_epsilon >= 1.0) {
-        bad_param("tally_eps", "must be in [0, 1)");
-    }
-    // Certified anytime-valid stopping (≡ CLI `--certify γ δ`): a
-    // confidence sequence decides "gain ≥ certify_gamma" at error
-    // certify_delta; results carry cert_* fields (docs/STATISTICS.md).
-    eval.certify.delta = optional_number(params, "certify_delta", 0.0);
-    if (eval.certify.delta < 0.0 || eval.certify.delta >= 1.0) {
-        bad_param("certify_delta", "must be in [0, 1)");
-    }
-    if (eval.certify.enabled()) {
-        eval.certify.gamma = optional_number(params, "certify_gamma", 0.0);
-        try {
-            eval.certify.boundary = stats::parse_cs_boundary(optional_string(
-                params, "certify_boundary", "empirical_bernstein"));
-        } catch (const support::ContractViolation& e) {
-            bad_param("certify_boundary", e.what());
-        }
-        if (eval.approximate_tally) {
-            bad_param("certify_delta",
-                      "certification is incompatible with approximate tallies");
+    eval.threads = config_.eval_threads;
+    eval.max_replications = std::min(eval.max_replications, config_.max_replications);
+    eval.tally_epsilon = config_.default_tally_epsilon;
+    cli::read_eval_json(params, cli::EvalFront::Serve, eval);
+    // Admission limits: a bad client gets an error, not a day-long eval.
+    const std::size_t cap = config_.max_replications;
+    for (const auto& [key, count] : {std::pair{"replications", eval.replications},
+                                     {"max_replications", eval.max_replications}}) {
+        if (count == 0 || count > cap) {
+            bad_param(key, "must be in [1, " + std::to_string(cap) + "]");
         }
     }
-    const bool discard_cycles = optional_bool(params, "discard_cycles", false);
-    if (discard_cycles) eval.cycle_policy = delegation::CyclePolicy::Discard;
-    const std::size_t threads = optional_count(params, "threads", config_.eval_threads);
-    if (threads > kMaxRequestThreads && params.find("threads")) {
+    if (params.find("threads") && eval.threads > kMaxRequestThreads) {
         bad_param("threads",
                   "must be in [0, " + std::to_string(kMaxRequestThreads) + "]");
     }
-    eval.threads =
-        threads == 0 ? support::ThreadPool::global().worker_count() : threads;
-
+    eval.threads = cli::resolve_threads(eval.threads);
     const auto mechanism = cli::make_mechanism(mechanism_spec);
-    if (!mechanism->approval_respecting() && !discard_cycles) {
-        bad_param("mechanism", "'" + mechanism_spec +
-                                   "' can create delegation cycles; set "
-                                   "\"discard_cycles\": true");
-    }
-    if (mechanism->multi_delegation() && eval.inner_samples == 0) {
-        bad_param("inner_samples", "must be >= 1 for multi-delegation mechanisms");
-    }
+    cli::check_eval(eval, cli::EvalFront::Serve, mechanism.get(), mechanism_spec);
 
     json::Object result;
     election::GainReport report;
@@ -327,8 +262,9 @@ std::shared_ptr<LiveState> Router::open_live(const json::Value& params) {
                             "instance '" + fingerprint +
                                 "' not cached (call instance.load first)");
     }
-    const double tally_eps =
-        optional_number(params, "tally_eps", config_.live_tally_epsilon);
+    const double tally_eps = params.find("tally_eps")
+                                 ? require_number(params, "tally_eps")
+                                 : config_.live_tally_epsilon;
     if (tally_eps < 0.0 || tally_eps >= 1.0) {
         bad_param("tally_eps", "must be in [0, 1)");
     }

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -78,6 +80,11 @@ Value parse(std::string_view text);
 
 /// Parse the file at `path`; Error on unreadable file or bad JSON.
 Value parse_file(const std::string& path);
+
+/// `d` as a count when it is one — finite, non-negative, whole and at most
+/// 2⁵³, past which doubles skip integers — else nullopt.  The range checks
+/// come before the cast, so no value ever reaches a cast it overflows.
+std::optional<std::uint64_t> count_of(double d) noexcept;
 
 /// Canonical number rendering used by the serializer: round-trip precision
 /// (17 significant digits, so parse(format_number(x)) == x), integral

@@ -414,8 +414,8 @@ TEST(CertifiedSweep, SpecParsesCertifyOptions) {
       "options": {"certify_gamma": 0.03, "certify_delta": 0.02,
                   "certify_boundary": "hoeffding"}
     })"));
-    EXPECT_DOUBLE_EQ(spec.certify_gamma, 0.03);
-    EXPECT_DOUBLE_EQ(spec.certify_delta, 0.02);
+    EXPECT_DOUBLE_EQ(spec.eval.certify.gamma, 0.03);
+    EXPECT_DOUBLE_EQ(spec.eval.certify.delta, 0.02);
     EXPECT_EQ(spec.certify_boundary, "hoeffding");
 
     auto parse_options = [](const char* options_text) {
@@ -438,8 +438,8 @@ TEST(CertifiedSweep, FingerprintCoversCertifyFields) {
       "competencies": ["uniform:0.3,0.7"], "mechanism": ["threshold:1"]}
     })"));
     auto gamma = base, delta = base, boundary = base;
-    gamma.certify_gamma = 0.05;
-    delta.certify_delta = 0.01;
+    gamma.eval.certify.gamma = 0.05;
+    delta.eval.certify.delta = 0.01;
     boundary.certify_boundary = "hoeffding";
     EXPECT_NE(base.fingerprint(), gamma.fingerprint());
     EXPECT_NE(base.fingerprint(), delta.fingerprint());
@@ -460,11 +460,11 @@ TEST(CertifiedSweep, RowHeadersEndWithCertColumns) {
 TEST(CertifiedCli, ParsesCertifyAndBoundaryFlags) {
     const auto options = ld::cli::parse_options(
         {"--n", "50", "--certify", "0.05", "0.01", "--cs-boundary", "hoeffding"});
-    EXPECT_DOUBLE_EQ(options.certify_gamma, 0.05);
-    EXPECT_DOUBLE_EQ(options.certify_delta, 0.01);
-    EXPECT_EQ(options.cs_boundary, "hoeffding");
+    EXPECT_DOUBLE_EQ(options.eval.certify.gamma, 0.05);
+    EXPECT_DOUBLE_EQ(options.eval.certify.delta, 0.01);
+    EXPECT_EQ(options.eval.certify.boundary, CsBoundary::Hoeffding);
     // Defaults leave certification off.
-    EXPECT_EQ(ld::cli::parse_options({}).certify_delta, 0.0);
+    EXPECT_EQ(ld::cli::parse_options({}).eval.certify.delta, 0.0);
 }
 
 TEST(CertifiedCli, RejectsMalformedCertifyFlags) {

@@ -150,10 +150,10 @@ TEST(OptionParsing, DefaultsAndOverrides) {
     EXPECT_EQ(parsed.graph_spec, "ba:3");
     EXPECT_EQ(parsed.n, 250u);
     EXPECT_DOUBLE_EQ(parsed.alpha, 0.1);
-    EXPECT_EQ(parsed.replications, 50u);
+    EXPECT_EQ(parsed.eval.replications, 50u);
     EXPECT_EQ(parsed.seed, 9u);
     EXPECT_TRUE(parsed.audit);
-    EXPECT_TRUE(parsed.discard_cycles);
+    EXPECT_EQ(parsed.eval.cycle_policy, ld::delegation::CyclePolicy::Discard);
     EXPECT_EQ(parsed.mechanism_spec, "best");
     ASSERT_TRUE(parsed.dot_path.has_value());
     EXPECT_EQ(*parsed.dot_path, "/tmp/out.dot");
@@ -210,7 +210,7 @@ TEST(OptionParsing, NonFiniteAndOutOfRangeNumbersAreRejected) {
     cli::Options options;
     options.alpha = -1.0;
     options.n = 10;
-    options.replications = 5;
+    options.eval.replications = 5;
     std::ostringstream out;
     EXPECT_THROW(cli::run(options, out), SpecError);
 }
@@ -229,7 +229,7 @@ TEST(Runner, EndToEndGainReport) {
     options.competency_spec = "pc:0.02,0.2";
     options.mechanism_spec = "threshold:1";
     options.n = 60;
-    options.replications = 40;
+    options.eval.replications = 40;
     std::ostringstream out;
     EXPECT_EQ(cli::run(options, out), 0);
     const std::string text = out.str();
@@ -241,7 +241,7 @@ TEST(Runner, EndToEndGainReport) {
 TEST(Runner, AuditSectionAppearsOnRequest) {
     cli::Options options;
     options.n = 40;
-    options.replications = 20;
+    options.eval.replications = 20;
     options.audit = true;
     std::ostringstream out;
     EXPECT_EQ(cli::run(options, out), 0);
@@ -253,10 +253,10 @@ TEST(Runner, NoisyMechanismRequiresDiscardFlag) {
     cli::Options options;
     options.mechanism_spec = "noisy:1,0.2";
     options.n = 30;
-    options.replications = 10;
+    options.eval.replications = 10;
     std::ostringstream out;
     EXPECT_THROW(cli::run(options, out), SpecError);
-    options.discard_cycles = true;
+    options.eval.cycle_policy = ld::delegation::CyclePolicy::Discard;
     EXPECT_EQ(cli::run(options, out), 0);
 }
 
@@ -276,7 +276,7 @@ TEST(OptionParsing, SimdFlag) {
 TEST(Runner, SimdUnknownTierIsAHardError) {
     cli::Options options;
     options.n = 20;
-    options.replications = 5;
+    options.eval.replications = 5;
     options.simd = "sse9";
     std::ostringstream out;
     EXPECT_THROW(cli::run(options, out), SpecError);
@@ -288,7 +288,7 @@ TEST(Runner, SimdScalarPinRunsAndRestores) {
     const ld::support::SimdTier before = ld::prob::kernel_tier();
     cli::Options options;
     options.n = 40;
-    options.replications = 20;
+    options.eval.replications = 20;
     options.simd = "scalar";
     std::ostringstream out;
     EXPECT_EQ(cli::run(options, out), 0);
@@ -300,8 +300,8 @@ TEST(Runner, MetricsOutWritesParseableJson) {
     const std::string path = ::testing::TempDir() + "/liquidd_metrics_test.json";
     cli::Options options;
     options.n = 40;
-    options.replications = 30;
-    options.threads = 2;
+    options.eval.replications = 30;
+    options.eval.threads = 2;
     options.metrics_out = path;
     std::ostringstream out;
     EXPECT_EQ(cli::run(options, out), 0);
@@ -327,7 +327,7 @@ TEST(Runner, DotExportWritesAFile) {
     const std::string path = ::testing::TempDir() + "/liquidd_cli_test.dot";
     cli::Options options;
     options.n = 12;
-    options.replications = 5;
+    options.eval.replications = 5;
     options.dot_path = path;
     std::ostringstream out;
     EXPECT_EQ(cli::run(options, out), 0);

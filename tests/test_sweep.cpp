@@ -101,8 +101,8 @@ TEST(SweepSpec, ParsesEveryField) {
     const auto spec = tiny_spec();
     EXPECT_EQ(spec.name, "tiny");
     EXPECT_EQ(spec.seed, 11u);
-    EXPECT_EQ(spec.replications, 20u);
-    EXPECT_EQ(spec.threads, 1u);
+    EXPECT_EQ(spec.eval.replications, 20u);
+    EXPECT_EQ(spec.eval.threads, 1u);
     EXPECT_EQ(spec.ns, (std::vector<std::size_t>{30}));
     EXPECT_EQ(spec.alphas, (std::vector<double>{0.05, 0.1, 0.2}));
     EXPECT_EQ(spec.mechanisms, (std::vector<std::string>{"threshold:1", "direct"}));
