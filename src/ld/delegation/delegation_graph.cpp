@@ -11,6 +11,20 @@ using mech::ActionKind;
 using support::expects;
 using support::invariant;
 
+namespace {
+
+// How many listed delegators ahead the walk prefetches a target's state.
+constexpr std::size_t kPrefetchAhead = 8;
+
+// `yes ? a : b` spelled with masks, so that no branch is emitted for it.
+template <typename T>
+T pick(bool yes, T a, T b) {
+    const T mask = T{0} - static_cast<T>(yes);
+    return (a & mask) | (b & ~mask);
+}
+
+}  // namespace
+
 DelegationOutcome::DelegationOutcome(std::vector<Action> actions,
                                      std::span<const std::uint64_t> initial_weights,
                                      CyclePolicy cycle_policy)
@@ -61,88 +75,181 @@ void DelegationOutcome::rebuild_from_successors(
 
 void DelegationOutcome::resolve(std::span<const std::uint64_t> initial_weights,
                                 CyclePolicy cycle_policy, ResolveScratch& scratch) {
-    const auto& next = scratch.next;
-    const std::size_t n = next.size();
-    const auto weight_of = [&](graph::Vertex v) -> std::uint64_t {
-        return initial_weights.empty() ? 1 : initial_weights[v];
-    };
+    const std::size_t n = scratch.next.size();
     // Walk states in sink_ besides a voter or kNoSink.  Voters lost to a
     // cycle are kLost until the end, so later walks can tell them from
     // voters drained into an abstainer.
     constexpr graph::Vertex kUnresolved = kNoSink - 1;
     constexpr graph::Vertex kOnChain = kNoSink - 2;
     constexpr graph::Vertex kLost = kNoSink - 3;
-    auto& depth = scratch.depth;
-    auto& chain = scratch.chain;
-    depth.resize(n);
+    scratch.depth.resize(n);
     sink_.resize(n);
     weights_.resize(n);
+    if (scratch.list.size() < n) scratch.list.resize(n);
+    // The loops index plain arrays, so their bases stay in registers.
+    const graph::Vertex* const next = scratch.next.data();
+    graph::Vertex* const sink = sink_.data();
+    std::uint32_t* const depth = scratch.depth.data();
+    std::uint64_t* const weight = weights_.data();
+    graph::Vertex* const list = scratch.list.data();
+    const bool unit_weights = initial_weights.empty();
+    const std::uint64_t* const initial = initial_weights.data();
+    const auto weight_of = [&](graph::Vertex v) -> std::uint64_t {
+        return unit_weights ? 1 : initial[v];
+    };
 
-    // One pass over the successor codes: count delegators and abstainers.
-    // Voters who vote (or delegate to themselves) and abstainers are
-    // resolved on the spot.
-    for (graph::Vertex v = 0; v < n; ++v) {
-        graph::Vertex to = next[v];
-        if (to == kNoSink) {
-            ++stats_.abstainer_count;
-        } else if (to != v) {
-            ++stats_.delegator_count;
-            if (to == mech::kSelfDelegate) {
-                to = v;
-            } else {
-                expects(to < n, "DelegationOutcome: target out of range");
-            }
+    // One pass over the successor codes classifies every voter: voters
+    // (self-delegators included) and abstainers are resolved on the spot,
+    // and the voters who delegate to another voter are listed, ascending.
+    // From kListFrom voters on the pass has no branch on a code and counts
+    // are sums of flags; below it the branches repeat from one
+    // realization of an instance to the next, and predicted branches are
+    // cheaper.
+    std::size_t delegators = 0;
+    std::size_t abstainers = 0;
+    std::size_t listed = 0;
+    bool out_of_range = false;
+    if (n >= mech::kListFrom) {
+        for (std::size_t v = 0; v < n; ++v) {
+            const graph::Vertex to = next[v];
+            const bool abstains = to == kNoSink;
+            const bool votes = (to == v) | (to == mech::kSelfDelegate);
+            const bool delegates = !votes & !abstains;
+            abstainers += abstains;
+            delegators += (to != v) & !abstains;
+            out_of_range |= delegates & (to >= n);
+            // kUnresolved + 1 is kNoSink.
+            sink[v] = pick<graph::Vertex>(votes, static_cast<graph::Vertex>(v),
+                                          kUnresolved + abstains);
+            depth[v] = 0;
+            weight[v] = pick<std::uint64_t>(votes, weight_of(v), 0);
+            list[listed] = static_cast<graph::Vertex>(v);
+            listed += delegates;
         }
-        sink_[v] = to == v || to == kNoSink ? to : kUnresolved;
-        depth[v] = 0;
-        weights_[v] = to == v ? weight_of(v) : 0;
+    } else {
+        for (graph::Vertex v = 0; v < n; ++v) {
+            const graph::Vertex to = next[v];
+            depth[v] = 0;
+            if (to == v || to == mech::kSelfDelegate) {
+                delegators += to != v;
+                sink[v] = v;
+                weight[v] = weight_of(v);
+                continue;
+            }
+            weight[v] = 0;
+            if (to == kNoSink) {
+                ++abstainers;
+                sink[v] = kNoSink;
+                continue;
+            }
+            ++delegators;
+            out_of_range |= to >= n;
+            sink[v] = kUnresolved;
+            list[listed++] = v;
+        }
     }
+    expects(!out_of_range, "DelegationOutcome: target out of range");
+    stats_.delegator_count = delegators;
+    stats_.abstainer_count = abstainers;
     if (!functional_) return;  // multi-target: evaluator resolves by simulation
 
+    // Walk from each listed delegator that no earlier walk resolved.  One
+    // whose target is resolved (a voter, an abstainer or lost) takes a
+    // one-hop path; any other follows its chain until it meets a resolved
+    // voter or one on this walk.
     std::uint32_t longest = 0;
-    for (graph::Vertex start = 0; start < n; ++start) {
-        if (sink_[start] != kUnresolved) continue;
-        // Walk until hitting a resolved voter or one on this walk.
+    std::size_t lost_voters = 0;
+    auto& chain = scratch.chain;
+    for (std::size_t i = 0; i < listed; ++i) {
+        if (i + kPrefetchAhead < listed) {
+            const graph::Vertex ahead = next[list[i + kPrefetchAhead]];
+            __builtin_prefetch(sink + ahead);
+            __builtin_prefetch(depth + ahead);
+        }
+        const graph::Vertex start = list[i];
+        if (sink[start] != kUnresolved) continue;
+        const graph::Vertex to = next[start];
+        const graph::Vertex terminal = sink[to];
+        if (terminal != kUnresolved) {
+            const std::uint32_t d = depth[to] + 1;
+            sink[start] = terminal;
+            depth[start] = d;
+            const bool lost = terminal == kLost;
+            const bool pools = !lost & (terminal != kNoSink);
+            lost_voters += lost;
+            longest = std::max(longest, pick<std::uint32_t>(lost, 0, d));
+            // A delegator holds no weight, so adding 0 to its own is a no-op.
+            weight[pick(pools, terminal, start)] +=
+                pick<std::uint64_t>(pools, weight_of(start), 0);
+            continue;
+        }
         chain.clear();
         graph::Vertex v = start;
         do {
-            sink_[v] = kOnChain;
+            sink[v] = kOnChain;
             chain.push_back(v);
             v = next[v];
-        } while (sink_[v] == kUnresolved);
-        graph::Vertex terminal = sink_[v];
+        } while (sink[v] == kUnresolved);
+        graph::Vertex end = sink[v];
         std::uint32_t d = depth[v];
-        if (terminal == kOnChain) {  // back on this walk: a cycle
+        if (end == kOnChain) {  // back on this walk: a cycle
             expects(cycle_policy == CyclePolicy::Discard,
                     "DelegationOutcome: delegation cycle detected");
-            terminal = kLost;
+            end = kLost;
             d = 0;
         }
         // Path-compress the walked chain onto the discovered terminal.
         std::uint64_t pooled = 0;
         for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-            sink_[*it] = terminal;
+            sink[*it] = end;
             depth[*it] = ++d;
             pooled += weight_of(*it);
         }
-        if (terminal == kLost) {
-            cycle_losses_ += chain.size();
+        if (end == kLost) {
+            lost_voters += chain.size();
             continue;  // not a delegation path: it ends at no voter
         }
         longest = std::max(longest, d);
-        if (terminal != kNoSink) weights_[terminal] += pooled;
+        if (end != kNoSink) weight[end] += pooled;
     }
-    if (cycle_losses_ > 0) std::replace(sink_.begin(), sink_.end(), kLost, kNoSink);
+    cycle_losses_ = lost_voters;
+    if (lost_voters > 0) {
+        for (std::size_t i = 0; i < listed; ++i) {
+            if (sink[list[i]] == kLost) sink[list[i]] = kNoSink;
+        }
+    }
 
-    for (graph::Vertex v = 0; v < n; ++v) {
-        if (weights_[v] == 0) continue;
-        invariant(next[v] == v || next[v] == mech::kSelfDelegate,
-                  "weight pooled at a non-voting voter");
-        voting_sinks_.push_back(v);
-        stats_.max_weight = std::max(stats_.max_weight, weights_[v]);
-        stats_.cast_weight += weights_[v];
+    // Gather the voting sinks, the heaviest and the cast weight in one
+    // pass; from kListFrom voters on it has no branch on a weight.
+    std::size_t sinks = 0;
+    std::uint64_t max_weight = 0;
+    std::uint64_t cast_weight = 0;
+    bool misplaced = false;
+    if (n >= mech::kListFrom) {
+        for (std::size_t v = 0; v < n; ++v) {
+            const std::uint64_t w = weight[v];
+            const bool holds = w != 0;
+            misplaced |= holds & (next[v] != v) & (next[v] != mech::kSelfDelegate);
+            list[sinks] = static_cast<graph::Vertex>(v);
+            sinks += holds;
+            max_weight = std::max(max_weight, w);
+            cast_weight += w;
+        }
+    } else {
+        for (graph::Vertex v = 0; v < n; ++v) {
+            const std::uint64_t w = weight[v];
+            if (w == 0) continue;
+            misplaced |= next[v] != v && next[v] != mech::kSelfDelegate;
+            list[sinks++] = v;
+            max_weight = std::max(max_weight, w);
+            cast_weight += w;
+        }
     }
-    stats_.voting_sink_count = voting_sinks_.size();
+    invariant(!misplaced, "weight pooled at a non-voting voter");
+    voting_sinks_.assign(list, list + sinks);
+    stats_.voting_sink_count = sinks;
+    stats_.max_weight = max_weight;
+    stats_.cast_weight = cast_weight;
     stats_.longest_path = longest;
 }
 

@@ -71,12 +71,16 @@ public:
     /// itself if it votes, its delegate, `kNoSink` if it abstains,
     /// mech::kSelfDelegate if it delegates to itself.  finish_rebuild
     /// fills it from the actions; a single-target mechanism's
-    /// successors_into fills it directly.  The chain walk, path
-    /// compression, weights and stats then read only flat 4-byte arrays.
+    /// successors_into fills it directly.  The walk, path compression,
+    /// weights and stats then read only flat 4-byte arrays.  `list` (kept
+    /// at n entries or more, never shrunk) is the one voter list every
+    /// step borrows in turn: the successor batch's delegators, then the
+    /// walk's unresolved delegators, then the voting sinks.
     struct ResolveScratch {
         std::vector<graph::Vertex> next;   // successor code per voter
         std::vector<std::uint32_t> depth;  // delegation-path length to sink
         std::vector<graph::Vertex> chain;  // current walk, for compression
+        std::vector<graph::Vertex> list;   // listed voters, see above
     };
 
     /// An empty outcome (0 voters); fill it via a rebuild or assign over it.
@@ -154,7 +158,9 @@ public:
 private:
     void clear_derived();
     /// The walk both rebuilds share, over the successor codes in
-    /// `scratch.next`.
+    /// `scratch.next`: one pass classifies every voter and lists the
+    /// delegators, the walk visits only those, and one pass gathers the
+    /// voting sinks.
     void resolve(std::span<const std::uint64_t> initial_weights, CyclePolicy cycle_policy,
                  ResolveScratch& scratch);
 

@@ -44,8 +44,10 @@ void realize_into(DelegationOutcome& outcome,
         outcome.finish_rebuild(initial_weights, cycle_policy, scratch);
         return;
     }
-    scratch.next.resize(instance.voter_count());
-    mechanism.successors_into(instance, rng, scratch.next);
+    const std::size_t n = instance.voter_count();
+    scratch.next.resize(n);
+    if (scratch.list.size() < n) scratch.list.resize(n);
+    mechanism.successors_into(instance, rng, scratch.next, scratch.list);
     outcome.rebuild_from_successors(initial_weights, cycle_policy, scratch);
 }
 

@@ -13,7 +13,8 @@ std::string ApprovalSizeThreshold::name() const {
 
 std::optional<double> ApprovalSizeThreshold::vote_directly_probability(
     const model::Instance& instance, graph::Vertex v) const {
-    return instance.approved_neighbours_view(v).size() < threshold_ ? 1.0 : 0.0;
+    const std::size_t approved = instance.approved_neighbours_view(v).size();
+    return delegates(instance, v, approved) ? 0.0 : 1.0;
 }
 
 }  // namespace ld::mech

@@ -8,12 +8,12 @@
 #include <cstddef>
 
 #include "ld/mech/mechanism.hpp"
-#include "rng/sampling.hpp"
 
 namespace ld::mech {
 
 /// Delegate iff the approved-neighbour count reaches a fixed threshold.
-class ApprovalSizeThreshold final : public SuccessorMechanism<ApprovalSizeThreshold> {
+class ApprovalSizeThreshold final
+    : public UniformApprovedMechanism<ApprovalSizeThreshold> {
 public:
     /// `threshold` — minimum |J(i) ∩ N(i)| required to delegate.  A voter
     /// with an empty approval set always votes directly regardless.
@@ -21,11 +21,8 @@ public:
 
     std::string name() const override;
 
-    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
-                            rng::Rng& rng) const {
-        const auto approved = instance.approved_neighbours_view(v);
-        if (approved.size() < threshold_) return v;
-        return approved[rng::uniform_index(rng, approved.size())];
+    bool delegates(const model::Instance&, graph::Vertex, std::size_t approved) const {
+        return approved >= threshold_;
     }
 
     std::optional<double> vote_directly_probability(const model::Instance& instance,

@@ -22,7 +22,7 @@ std::string CompleteGraphThreshold::name() const {
 std::optional<double> CompleteGraphThreshold::vote_directly_probability(
     const model::Instance& instance, graph::Vertex v) const {
     const std::size_t approved = instance.approved_neighbours_view(v).size();
-    return approved < required(instance, v) ? 1.0 : 0.0;
+    return delegates(instance, v, approved) ? 0.0 : 1.0;
 }
 
 CompleteGraphThreshold CompleteGraphThreshold::with_log_threshold() {

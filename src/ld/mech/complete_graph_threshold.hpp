@@ -15,7 +15,6 @@
 #include <string>
 
 #include "ld/mech/mechanism.hpp"
-#include "rng/sampling.hpp"
 
 namespace ld::mech {
 
@@ -23,17 +22,18 @@ namespace ld::mech {
 using ThresholdFn = std::function<std::size_t(std::size_t)>;
 
 /// Algorithm 1: delegate iff |approved neighbours| >= j(#neighbours).
-class CompleteGraphThreshold final : public SuccessorMechanism<CompleteGraphThreshold> {
+class CompleteGraphThreshold final
+    : public UniformApprovedMechanism<CompleteGraphThreshold> {
 public:
     CompleteGraphThreshold(ThresholdFn threshold, std::string threshold_name);
 
     std::string name() const override;
 
-    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
-                            rng::Rng& rng) const {
-        const auto approved = instance.approved_neighbours_view(v);
-        if (approved.size() < required(instance, v)) return v;
-        return approved[rng::uniform_index(rng, approved.size())];
+    /// |approved| >= max(1, j(deg v)).
+    bool delegates(const model::Instance& instance, graph::Vertex v,
+                   std::size_t approved) const {
+        const std::size_t degree = instance.graph().degree(v);
+        return approved >= std::max<std::size_t>(1, threshold_(degree));
     }
 
     std::optional<double> vote_directly_probability(const model::Instance& instance,
@@ -55,11 +55,6 @@ public:
     static CompleteGraphThreshold with_linear_threshold(double fraction);
 
 private:
-    /// max(1, j(deg v)): the approvals `v` needs to delegate.
-    std::size_t required(const model::Instance& instance, graph::Vertex v) const {
-        return std::max<std::size_t>(1, threshold_(instance.graph().degree(v)));
-    }
-
     ThresholdFn threshold_;
     std::string threshold_name_;
 };

@@ -16,8 +16,8 @@ std::string FractionApproved::name() const {
 
 std::optional<double> FractionApproved::vote_directly_probability(
     const model::Instance& instance, graph::Vertex v) const {
-    const auto approved = instance.approved_neighbours_view(v);
-    return should_delegate(instance, v, approved.size()) ? 0.0 : 1.0;
+    const std::size_t approved = instance.approved_neighbours_view(v).size();
+    return delegates(instance, v, approved) ? 0.0 : 1.0;
 }
 
 }  // namespace ld::mech

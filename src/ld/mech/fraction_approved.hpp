@@ -6,23 +6,24 @@
 #pragma once
 
 #include "ld/mech/mechanism.hpp"
-#include "rng/sampling.hpp"
 
 namespace ld::mech {
 
 /// Delegate iff |approved ∩ N(v)| >= fraction · |N(v)| (and >= 1).
-class FractionApproved final : public SuccessorMechanism<FractionApproved> {
+class FractionApproved final : public UniformApprovedMechanism<FractionApproved> {
 public:
     /// `fraction` in (0, 1]; the paper's Theorem 5 uses 1/3.
     explicit FractionApproved(double fraction = 1.0 / 3.0);
 
     std::string name() const override;
 
-    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
-                            rng::Rng& rng) const {
-        const auto approved = instance.approved_neighbours_view(v);
-        if (!should_delegate(instance, v, approved.size())) return v;
-        return approved[rng::uniform_index(rng, approved.size())];
+    /// `approved` >= 1 and >= fraction · deg(v).  A voter with no
+    /// neighbour has no approved one either.
+    bool delegates(const model::Instance& instance, graph::Vertex v,
+                   std::size_t approved) const {
+        const std::size_t deg = instance.graph().degree(v);
+        return (approved != 0) &
+               (static_cast<double>(approved) >= fraction_ * static_cast<double>(deg));
     }
 
     std::optional<double> vote_directly_probability(const model::Instance& instance,
@@ -31,13 +32,6 @@ public:
     double fraction() const noexcept { return fraction_; }
 
 private:
-    bool should_delegate(const model::Instance& instance, graph::Vertex v,
-                         std::size_t approved_count) const {
-        const std::size_t deg = instance.graph().degree(v);
-        if (deg == 0 || approved_count == 0) return false;
-        return static_cast<double>(approved_count) >=
-               fraction_ * static_cast<double>(deg);
-    }
     double fraction_;
 };
 

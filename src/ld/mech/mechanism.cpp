@@ -27,7 +27,8 @@ graph::Vertex successor_of(const Action& action, graph::Vertex v, std::size_t n)
 }
 
 void Mechanism::successors_into(const model::Instance& instance, rng::Rng& rng,
-                                std::span<graph::Vertex> next) const {
+                                std::span<graph::Vertex> next,
+                                std::span<graph::Vertex>) const {
     Action action;
     for (graph::Vertex v = 0; v < next.size(); ++v) {
         act_into(instance, v, rng, action);

@@ -8,9 +8,13 @@
 // The interface is sampling-based: `act()` draws one decision for one voter
 // using the caller's Rng, and `successors_into()` draws a whole
 // single-target realization as one successor per voter, the form the
-// replication loop resolves.  Mechanisms whose per-voter delegation law is
-// a simple closed form additionally expose `vote_directly_probability()`
-// so tests can check the sampler against the exact law.
+// replication loop resolves.  The threshold mechanisms of the paper share
+// one decision shape — a uniformly random approved neighbour when a test
+// on the approval count passes — and state only that test
+// (`UniformApprovedMechanism`); their batch draws with no branch on it.
+// Mechanisms whose per-voter delegation law is a simple closed form
+// additionally expose `vote_directly_probability()` so tests can check
+// the sampler against the exact law.
 
 #pragma once
 
@@ -24,6 +28,7 @@
 #include "graph/graph.hpp"
 #include "ld/model/instance.hpp"
 #include "rng/rng.hpp"
+#include "rng/sampling.hpp"
 
 namespace ld::mech {
 
@@ -86,6 +91,14 @@ struct Action {
 inline constexpr graph::Vertex kAbstain = std::numeric_limits<graph::Vertex>::max();
 inline constexpr graph::Vertex kSelfDelegate = kAbstain - 1;
 
+/// The voter count from which a single-target realization lists voters
+/// before it draws or walks them, with no branch on a voter's decision
+/// (UniformApprovedMechanism's batch, DelegationOutcome's walk).  Below
+/// it, one instance's decisions repeat from one realization to the next
+/// closely enough for the branch predictor to learn them, and the
+/// one-pass loops with branches are cheaper.
+inline constexpr std::size_t kListFrom = 2048;
+
 /// Voter `v`'s successor code under `action` among `n` voters; a
 /// multi-target delegation maps to its first target.  Runs every check a
 /// delegation outcome makes of an action, with the outcome's messages.
@@ -120,11 +133,15 @@ public:
     /// per voter (`next.size()` voters; see kAbstain).  Consumes the same
     /// RNG stream as calling `act` for each voter.  Only for mechanisms
     /// that are not `multi_delegation()`: the replication loop resolves
-    /// their realizations from `next` alone.  The default runs `act_into`
-    /// into one reused Action and maps it with `successor_of`;
-    /// `SuccessorMechanism` draws straight into `next`.
+    /// their realizations from `next` alone.  `list` is the caller's
+    /// scratch, room for at least `next.size()` voters; what it holds on
+    /// return is unspecified.  The default runs `act_into` into one reused
+    /// Action and maps it with `successor_of`; `SuccessorMechanism` draws
+    /// straight into `next`, and `UniformApprovedMechanism` lists the
+    /// voters who delegate before it draws their delegates.
     virtual void successors_into(const model::Instance& instance, rng::Rng& rng,
-                                 std::span<graph::Vertex> next) const;
+                                 std::span<graph::Vertex> next,
+                                 std::span<graph::Vertex> list) const;
 
     /// Exact probability that voter `v` votes directly (neither delegates
     /// nor abstains), when available in closed form.  Used for testing and
@@ -170,9 +187,57 @@ public:
     }
 
     void successors_into(const model::Instance& instance, rng::Rng& rng,
-                         std::span<graph::Vertex> next) const final {
+                         std::span<graph::Vertex> next,
+                         std::span<graph::Vertex>) const override {
         for (graph::Vertex v = 0; v < next.size(); ++v) {
             next[v] = derived().successor(instance, v, rng);
+        }
+    }
+
+private:
+    const Derived& derived() const { return static_cast<const Derived&>(*this); }
+};
+
+/// Base of a single-target mechanism that delegates to a uniformly random
+/// approved neighbour when `Derived::delegates(instance, v, approved)`
+/// holds for voter `v` with `approved` approved neighbours (never when
+/// `approved` is 0), and votes otherwise.  The test is all a derived
+/// mechanism states: `successor()`, so `act` and `act_into`, and the
+/// batch derive from it.
+///
+/// From kListFrom voters on the batch runs in two passes.  The first sets
+/// every voter to vote and appends each voter whose test passes to
+/// `list`, with no branch on the test; the second draws a delegate for
+/// each listed voter in ascending order — the draws `successor()` makes
+/// voter by voter, in the same order, so `next` and the Rng's position
+/// match.  Below kListFrom it is SuccessorMechanism's one-pass loop.
+template <typename Derived>
+class UniformApprovedMechanism : public SuccessorMechanism<Derived> {
+public:
+    graph::Vertex successor(const model::Instance& instance, graph::Vertex v,
+                            rng::Rng& rng) const {
+        const auto approved = instance.approved_neighbours_view(v);
+        if (!derived().delegates(instance, v, approved.size())) return v;
+        return approved[rng::uniform_index(rng, approved.size())];
+    }
+
+    void successors_into(const model::Instance& instance, rng::Rng& rng,
+                         std::span<graph::Vertex> next,
+                         std::span<graph::Vertex> list) const final {
+        if (next.size() < kListFrom) {
+            SuccessorMechanism<Derived>::successors_into(instance, rng, next, list);
+            return;
+        }
+        std::size_t listed = 0;
+        for (graph::Vertex v = 0; v < next.size(); ++v) {
+            next[v] = v;
+            list[listed] = v;
+            listed += derived().delegates(instance, v,
+                                          instance.approved_neighbours_view(v).size());
+        }
+        for (const graph::Vertex v : list.first(listed)) {
+            const auto approved = instance.approved_neighbours_view(v);
+            next[v] = approved[rng::uniform_index(rng, approved.size())];
         }
     }
 
