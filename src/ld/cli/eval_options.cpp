@@ -4,7 +4,6 @@
 #include <type_traits>
 
 #include "ld/cli/specs.hpp"
-#include "support/expect.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ld::cli {
@@ -77,11 +76,13 @@ const Knob* find(EvalFront front, std::string_view name) {
 
 void set_boundary(E& eval, const std::string& text, EvalFront front,
                   const std::string& name) {
-    try {
-        eval.certify.boundary = stats::parse_cs_boundary(text);
-    } catch (const support::ContractViolation& e) {
-        refuse(front, name, e.what());
+    const auto boundary = stats::parse_cs_boundary(text);
+    if (!boundary) {
+        refuse(front, name,
+               "unknown confidence-sequence boundary (want hoeffding, "
+               "empirical_bernstein, or eb): " + text);
     }
+    eval.certify.boundary = *boundary;
 }
 
 }  // namespace

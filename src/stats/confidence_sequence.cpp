@@ -17,15 +17,13 @@ const char* cs_boundary_name(CsBoundary boundary) noexcept {
     return "unknown";
 }
 
-CsBoundary parse_cs_boundary(const std::string& name) {
+std::optional<CsBoundary> parse_cs_boundary(const std::string& name) {
     if (name == "hoeffding") return CsBoundary::Hoeffding;
     if (name == "empirical_bernstein" || name == "empirical-bernstein" ||
         name == "eb") {
         return CsBoundary::EmpiricalBernstein;
     }
-    expects(false, "unknown confidence-sequence boundary (want hoeffding, "
-                   "empirical_bernstein, or eb): " + name);
-    return CsBoundary::Hoeffding;  // unreachable
+    return std::nullopt;
 }
 
 const char* cert_stop_name(CertStop stop) noexcept {

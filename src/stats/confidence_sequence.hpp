@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "stats/confidence.hpp"
@@ -50,8 +51,9 @@ enum class CsBoundary {
 const char* cs_boundary_name(CsBoundary boundary) noexcept;
 
 /// Parse a boundary name; accepts "hoeffding", "empirical_bernstein",
-/// "empirical-bernstein", and "eb".  Throws ContractViolation otherwise.
-CsBoundary parse_cs_boundary(const std::string& name);
+/// "empirical-bernstein", and "eb".  Returns nullopt for any other name,
+/// which the caller refuses in its own words.
+std::optional<CsBoundary> parse_cs_boundary(const std::string& name);
 
 /// Why a certified run stopped.
 enum class CertStop {

@@ -144,7 +144,7 @@ TEST(ConfidenceSequence, NamesAndParsing) {
     EXPECT_EQ(parse_cs_boundary("empirical-bernstein"),
               CsBoundary::EmpiricalBernstein);
     EXPECT_EQ(parse_cs_boundary("eb"), CsBoundary::EmpiricalBernstein);
-    EXPECT_THROW(parse_cs_boundary("gaussian"), ContractViolation);
+    EXPECT_EQ(parse_cs_boundary("gaussian"), std::nullopt);
     EXPECT_STREQ(cert_stop_name(CertStop::DecidedAbove), "decided_above");
     EXPECT_STREQ(cert_stop_name(CertStop::DecidedBelow), "decided_below");
     EXPECT_STREQ(cert_stop_name(CertStop::BudgetExhausted), "budget_exhausted");
