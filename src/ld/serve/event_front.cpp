@@ -58,10 +58,12 @@ void Conn::send(const std::string& line) noexcept {
 }
 
 void Conn::finish_inflight() noexcept {
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    if (inflight_.fetch_sub(1) != 1) return;
     if (dead_.load(std::memory_order_relaxed)) return;
-    // Last response for a possibly half-closed peer: let the loop decide
-    // whether the connection can now be torn down.
+    // Last response: only a half-closed peer's connection may now be torn
+    // down, so only then is the loop woken to decide.  A peer that closes
+    // after this load sees inflight_ at 0 in its own maybe_close.
+    if (!peer_done_.load()) return;
     auto self = shared_from_this();
     loop_->post([self] { self->maybe_close(); });
 }
@@ -121,7 +123,7 @@ void Conn::flush() {
 
 void Conn::maybe_close() {
     if (!socket_.valid() || !read_closed_) return;
-    if (inflight_.load(std::memory_order_acquire) != 0) return;
+    if (inflight_.load() != 0) return;
     {
         std::lock_guard<std::mutex> lock(out_mutex_);
         if (out_offset_ < out_buffer_.size()) return;
@@ -292,6 +294,7 @@ void EventFront::read_pass(const std::shared_ptr<Conn>& conn) {
         if (!got.has_value()) break;  // drained for now (EAGAIN)
         if (*got == 0) {              // orderly EOF: half-close
             conn->read_closed_ = true;
+            conn->peer_done_.store(true);
             break;
         }
         // The bytes held from earlier reads hold no '\n': search only the

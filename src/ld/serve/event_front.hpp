@@ -90,6 +90,10 @@ private:
     std::atomic<bool> flush_queued_{false};
     std::atomic<bool> dead_{false};
     std::atomic<int> inflight_{0};
+    /// read_closed_ for worker threads.  It and inflight_ are seq_cst, so
+    /// of a worker finishing the last request and the loop seeing EOF, at
+    /// least one sees the other's write and runs maybe_close.
+    std::atomic<bool> peer_done_{false};
 };
 
 struct FrontConfig {
