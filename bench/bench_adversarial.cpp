@@ -44,8 +44,12 @@ int main() {
     const auto describe_range = [](const model::CompetencyVector& p) {
         const auto values = p.values();
         const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-        return "[" + std::to_string(*lo).substr(0, 4) + "," +
-               std::to_string(*hi).substr(0, 4) + "]";
+        std::string range = "[";
+        range += std::to_string(*lo).substr(0, 4);
+        range += ',';
+        range += std::to_string(*hi).substr(0, 4);
+        range += ']';
+        return range;
     };
 
     {

@@ -58,8 +58,11 @@ int main() {
     const auto out = delegation::realize(mechanism, inst, rng);
     std::vector<std::string> labels;
     for (graph::Vertex v = 0; v < 9; ++v) {
-        labels.push_back("v" + std::to_string(v + 1) + " p=" +
-                         std::to_string(inst.competency(v)).substr(0, 4));
+        std::string label = "v";
+        label += std::to_string(v + 1);
+        label += " p=";
+        label += std::to_string(inst.competency(v)).substr(0, 4);
+        labels.push_back(std::move(label));
     }
     std::cout << "\nexample delegation graph (DOT):\n";
     graph::write_dot(std::cout, out.as_digraph(), labels, "Figure2");

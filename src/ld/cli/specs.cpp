@@ -87,10 +87,13 @@ Fields parse_fields(const std::string& spec, std::string_view rest,
 /// The row whose '|'-separated names include `head`, or null.
 template <typename Row, std::size_t N>
 const Row* find_row(const Row (&rows)[N], std::string_view head) {
-    const std::string key = "|" + std::string(head) + "|";
     for (const Row& row : rows) {
-        const std::string names = "|" + std::string(row.names) + "|";
-        if (head.find('|') == npos && names.find(key) != npos) return &row;
+        for (std::string_view names = row.names;;) {
+            const std::size_t bar = names.find('|');
+            if (names.substr(0, bar) == head) return &row;
+            if (bar == npos) break;
+            names.remove_prefix(bar + 1);
+        }
     }
     return nullptr;
 }

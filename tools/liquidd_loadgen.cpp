@@ -9,8 +9,7 @@
 // breakdown — `overloaded` counts here are the admission controller
 // working, not a failure.
 //
-//   liquidd_loadgen --socket /tmp/liquidd.sock --requests reqs.jsonl \
-//       --qps 200 --repeat 10
+//   liquidd_loadgen --socket /tmp/ld.sock --requests reqs.jsonl --qps 200 --repeat 10
 //
 // `--connections N` opens N concurrent sockets; request i is owned by
 // connection i mod N, but all sends pace against one global schedule
