@@ -29,9 +29,10 @@ DelegationOutcome realize_weighted(const mech::Mechanism& mechanism,
 
 /// Realization into a reused outcome, the replication loop's path.  A
 /// single-target mechanism draws every voter's successor straight into
-/// `scratch.next` (Mechanism::successors_into), and the outcome resolves
-/// from that array with no per-voter Action; a multi-delegation mechanism
-/// refills the outcome's action buffers via Mechanism::act_into.  Draws
+/// `scratch.next` (Mechanism::successors_into, lending it `scratch.list`),
+/// and the outcome resolves from that array with no per-voter Action; a
+/// multi-delegation mechanism refills the outcome's action buffers via
+/// Mechanism::act_into.  Draws
 /// the same RNG stream and produces the same outcome as
 /// `realize_weighted`.  On a reused workspace the rebuild allocates
 /// nothing once warm.

@@ -2,7 +2,8 @@
 // per worker thread; every replication rebuilds the delegation outcome and
 // tallies it *in place*, so the steady state of the loop performs no heap
 // allocation.  A single-target mechanism draws each voter's successor
-// straight into the sink-resolution scratch (no per-voter Action); a
+// straight into the sink-resolution scratch (no per-voter Action), whose
+// one voter list the draw and the walk borrow in turn; a
 // multi-delegation mechanism refills the outcome's actions vector
 // (including each voter's `targets` buffer).  Those buffers, the sink
 // profile, the weighted-Bernoulli DP table, and the multi-delegation vote
@@ -23,7 +24,7 @@ namespace ld::election {
 struct ReplicationWorkspace {
     /// The realized delegation graph, rebuilt in place each replication.
     delegation::DelegationOutcome outcome;
-    /// Sink-resolution scratch (successors, chain walk, depths).
+    /// Sink-resolution scratch (successors, depths, chain walk, voter list).
     delegation::DelegationOutcome::ResolveScratch resolve;
     /// Inner-tally buffers (sink profile, DP table, sampled votes).
     TallyScratch tally;
