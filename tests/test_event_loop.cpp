@@ -358,6 +358,53 @@ TEST(ServeEventLoop, HalfClosedPeerReceivesEveryWorkerReply) {
     EXPECT_EQ(server.wait(), 0);
 }
 
+// The order Conn::finish_inflight's post exists for, driven through the
+// front alone: the peer half-closes with its request in flight, the
+// reply is flushed while the request still counts (so the flush's
+// maybe_close keeps the connection), and only then comes the last
+// decrement.  No read or flush is left to close the connection; the
+// decrement must.
+TEST(ServeEventLoop, LastDecrementAfterTheFlushClosesAHalfClosedPeer) {
+    serve::FrontConfig config;
+    config.unix_socket = socket_path("lastdecrement");
+    std::promise<std::shared_ptr<serve::Conn>> admitted;
+    serve::EventFront front(
+        config, [&](const std::shared_ptr<serve::Conn>& conn, const std::string&) {
+            // Admitted as Server admits a request for a worker.
+            conn->add_inflight();
+            admitted.set_value(conn);
+        });
+    front.start();
+
+    net::Socket client = net::connect_unix(config.unix_socket);
+    ASSERT_TRUE(ld::test::set_read_deadline(client));
+    net::LineReader reader(client);
+    // The front hands over an unterminated last line only after it has
+    // seen EOF, so the request is admitted with the read side closed.
+    const std::string request = "request";
+    ASSERT_EQ(::send(client.fd(), request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+    auto handed_over = admitted.get_future();
+    ASSERT_EQ(handed_over.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    const std::shared_ptr<serve::Conn> conn = handed_over.get();
+
+    conn->send("reply");  // the worker's reply, from off the loop thread
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_EQ(line, "reply");
+    front.settle_inputs();  // the flush that wrote the reply has returned
+    conn->finish_inflight();
+
+    bool closed = false;
+    try {
+        closed = !reader.read_line(line);
+    } catch (const net::NetError&) {
+        // The read deadline passed: the connection is still open.
+    }
+    EXPECT_TRUE(closed) << "the half-closed connection was never closed";
+}
+
 /// Connection count as the server reports it (health.result.connections).
 std::size_t reported_connections(net::Socket& probe, net::LineReader& reader,
                                  int* next_id) {
