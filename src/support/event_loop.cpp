@@ -20,8 +20,10 @@ namespace {
 }
 
 std::uint32_t to_epoll(std::uint32_t interest) {
-    std::uint32_t events = EPOLLRDHUP;  // always observe half-closes
-    if (interest & kEventRead) events |= EPOLLIN;
+    // A half-close is observed while reading only: level-triggered, it
+    // would fire on every wait once the read side is done.
+    std::uint32_t events = 0;
+    if (interest & kEventRead) events |= EPOLLIN | EPOLLRDHUP;
     if (interest & kEventWrite) events |= EPOLLOUT;
     return events;
 }

@@ -35,6 +35,7 @@ namespace ld::support::net {
 inline constexpr std::uint32_t kEventRead = 1u << 0;
 inline constexpr std::uint32_t kEventWrite = 1u << 1;
 /// Peer closed its write side (half-close); data may still be readable.
+/// Reported only for an fd registered with kEventRead.
 inline constexpr std::uint32_t kEventRdHangup = 1u << 2;
 /// Full hangup: both directions are gone (close or reset).
 inline constexpr std::uint32_t kEventHangup = 1u << 3;
