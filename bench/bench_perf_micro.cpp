@@ -24,6 +24,7 @@
 #include "ld/election/workspace.hpp"
 #include "ld/experiments/workloads.hpp"
 #include "ld/mech/approval_size_threshold.hpp"
+#include "ld/mech/complete_graph_threshold.hpp"
 #include "prob/convolve.hpp"
 #include "prob/poisson_binomial.hpp"
 #include "prob/weighted_bernoulli_sum.hpp"
@@ -476,6 +477,33 @@ void BM_RealizeDelegationWorkspace(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RealizeDelegationWorkspace)->Arg(1000)->Arg(10000)->Arg(200000);
+
+// The replication loop's path for the threshold mechanisms: the delegator
+// list is built once, as an estimate builds it, and each realization
+// draws and walks the listed voters only.  Arg 2: 0 = threshold:1,
+// 1 = alg1:sqrt.
+void BM_RealizeListedWorkspace(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(4);
+    const auto inst = experiments::d_regular_instance(rng, n, 16, 0.05, 0.01, 0.3);
+    const mech::ApprovalSizeThreshold threshold(1);
+    const auto alg1 = mech::CompleteGraphThreshold::with_sqrt_threshold();
+    const mech::Mechanism& m =
+        state.range(1) == 0 ? static_cast<const mech::Mechanism&>(threshold) : alg1;
+    state.SetLabel(m.name());
+    const auto list = delegation::DelegatorList::of(m, inst);
+    election::ReplicationWorkspace ws;
+    for (auto _ : state) {
+        delegation::realize_listed_into(ws.outcome, ws.resolve, *list, inst, rng);
+        benchmark::DoNotOptimize(ws.outcome);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_RealizeListedWorkspace)
+    ->Args({1000, 0})
+    ->Args({10000, 0})
+    ->Args({200000, 0})
+    ->Args({200000, 1});
 
 void BM_EstimatorNaive(benchmark::State& state) {
     rng::Rng rng(7);

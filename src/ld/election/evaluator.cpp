@@ -172,15 +172,21 @@ struct Replication {
     bool functional = false;
 };
 
-/// Realize one delegation graph from `rng` in the worker's workspace and
-/// compute its P^M term: the configured tally route for a functional
-/// outcome (the normal approximation, or the windowed DP at
-/// `tally_epsilon`, exact at ε = 0), the share of correct sampled votes
-/// for a multi-delegation one.
+/// Realize one delegation graph from `rng` in the worker's workspace —
+/// drawing only the listed voters' delegates when the estimate listed
+/// them (`listed` not null) — and compute its P^M term: the configured
+/// tally route for a functional outcome (the normal approximation, or the
+/// windowed DP at `tally_epsilon`, exact at ε = 0), the share of correct
+/// sampled votes for a multi-delegation one.
 Replication replicate(const mech::Mechanism& mechanism, const model::Instance& instance,
-                      rng::Rng& rng, const EvalOptions& options,
-                      ReplicationWorkspace& ws) {
-    realize_with(mechanism, instance, rng, options, ws);
+                      const delegation::DelegatorList* listed, rng::Rng& rng,
+                      const EvalOptions& options, ReplicationWorkspace& ws) {
+    if (listed) {
+        delegation::realize_listed_into(ws.outcome, ws.resolve, *listed, instance, rng,
+                                        options.cycle_policy);
+    } else {
+        realize_with(mechanism, instance, rng, options, ws);
+    }
     const auto& outcome = ws.outcome;
     const auto& p = instance.competencies();
     Replication r{0.0, outcome.stats(), outcome.functional()};
@@ -288,6 +294,9 @@ struct LoopResult {
 /// replication i from (master, i), with the master drawn once from the
 /// caller's Rng, and fold the samples in index order: the stop point and
 /// every report field are identical across thread counts.
+/// An unweighted estimate of a mechanism that fixes its delegators lists
+/// them once, before any replication, and every worker draws from that
+/// one list.
 LoopResult run_replications(const mech::Mechanism& mechanism,
                             const model::Instance& instance, rng::Rng& rng,
                             const EvalOptions& options, double threshold) {
@@ -302,6 +311,9 @@ LoopResult run_replications(const mech::Mechanism& mechanism,
 
     EstimateTimer timer(0);
     ReplicationEngine& engine = engine_for(options);
+    const auto listed = options.initial_weights.empty()
+                            ? delegation::DelegatorList::of(mechanism, instance)
+                            : nullptr;
     const CertifySpec& spec = options.certify;
     const bool certify = spec.enabled();
     const bool target_se = !certify && options.target_std_error > 0.0;
@@ -335,14 +347,15 @@ LoopResult run_replications(const mech::Mechanism& mechanism,
         if (certify) {
             for (std::size_t i = first; i < first + size; ++i) {
                 rng::Rng rep_rng(certified_replication_seed(master, done + i));
-                samples[i] = replicate(mechanism, instance, rep_rng, options, ws);
+                samples[i] =
+                    replicate(mechanism, instance, listed.get(), rep_rng, options, ws);
             }
             return;
         }
         rng::Rng& stream = streams.empty() ? rng : streams[t];
         ReplicationStats acc;
         for (std::size_t r = 0; r < size; ++r) {
-            acc.add(replicate(mechanism, instance, stream, options, ws));
+            acc.add(replicate(mechanism, instance, listed.get(), stream, options, ws));
         }
         partials[t].merge(acc);
     };
