@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "ld/cli/specs.hpp"
 #include "ld/model/approval.hpp"
 #include "ld/model/competency_gen.hpp"
 #include "ld/model/instance.hpp"
@@ -78,14 +79,9 @@ TEST(Instance, AccessorsAndApproval) {
 }
 
 TEST(Instance, ApprovalViewMatchesFreeFunction) {
-    ld::rng::Rng rng(2000);
-    const std::size_t n = 2000;
-    for (const double alpha : {0.01, 0.05, 0.3}) {
-        SCOPED_TRACE(alpha);
-        auto p = model::uniform_competencies(rng, n, 0.2, 0.8);
-        const Instance inst(g::make_erdos_renyi_gnp(rng, n, 0.004), p, alpha);
+    const auto check = [](const Instance& inst, const CompetencyVector& p, double alpha) {
         std::size_t approved = 0;
-        for (g::Vertex v = 0; v < n; ++v) {
+        for (g::Vertex v = 0; v < inst.voter_count(); ++v) {
             const auto view = inst.approved_neighbours_view(v);
             const std::vector<g::Vertex> got(view.begin(), view.end());
             ASSERT_EQ(got, model::approved_neighbours(inst.graph(), p, v, alpha))
@@ -94,6 +90,20 @@ TEST(Instance, ApprovalViewMatchesFreeFunction) {
         }
         EXPECT_GT(approved, 0u);
         EXPECT_LE(approved, inst.graph().edge_count());
+    };
+    ld::rng::Rng rng(2000);
+    const std::size_t n = 2000;
+    for (const double alpha : {0.01, 0.05, 0.3}) {
+        SCOPED_TRACE(alpha);
+        auto p = model::uniform_competencies(rng, n, 0.2, 0.8);
+        check(Instance(g::make_erdos_renyi_gnp(rng, n, 0.004), p, alpha), p, alpha);
+    }
+    // Sweep-scale instances, whose approval lists build in blocks.
+    for (const char* spec : {"cl:2.5,8", "dregular:8"}) {
+        SCOPED_TRACE(spec);
+        const std::size_t large = 120000;
+        auto p = model::uniform_competencies(rng, large, 0.45, 0.555);
+        check(Instance(ld::cli::make_graph(spec, large, rng), p, 0.05), p, 0.05);
     }
 }
 

@@ -99,6 +99,26 @@ TEST(SpecDigests, GraphHeadsBuildTheRecordedGraphs) {
     }
     const std::uint64_t file_hash = digest_of("file:" + path, 10);
     EXPECT_EQ(file_hash, 0x8ee572d7e680db1aULL) << "file: digest=" << hex(file_hash);
+    // The sweep_sparse heads at sweep scale, where graph assembly splits
+    // into blocks on the pool.
+    const struct {
+        const char* spec;
+        std::size_t n;
+        std::uint64_t digest;
+    } large[] = {
+        {"cl:2.5,8", 100000, 0x2b6f80025ef900b8ULL},
+        {"cl:2.5,8", 200000, 0xe3bd3899483bf534ULL},
+        {"hyper:2.7,12", 100000, 0xa7edaaca73204036ULL},
+        {"hyper:2.7,12", 200000, 0x616c7ef5b661c69dULL},
+        {"ba:4", 100000, 0xa5f604f53b9d6ed1ULL},
+        {"ba:4", 200000, 0x48b9938c855b35c3ULL},
+        {"dregular:8", 100000, 0x6246fa5fdd49fa17ULL},
+        {"dregular:8", 200000, 0x210bd5ace31773d9ULL},
+    };
+    for (const auto& row : large) {
+        const std::uint64_t hash = digest_of(row.spec, row.n);
+        EXPECT_EQ(hash, row.digest) << row.spec << " n=" << row.n << " digest=" << hex(hash);
+    }
 }
 
 TEST(SpecDigests, CompetencyHeadsBuildTheRecordedProfiles) {
