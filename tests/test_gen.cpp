@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fnv1a.hpp"
@@ -431,6 +433,40 @@ TEST(GenSpecs, MakeGraphRoutesThroughFacade) {
 
 // ------------------------------------------------------------ plumbing bits
 
+/// The circulant graph joining v to v ± 1 and v ± 2 (mod n) as a raw CSR,
+/// every row {v-2, v-1, v+1, v+2} ascending away from the wrap-around.
+struct Circulant {
+    explicit Circulant(std::size_t n) {
+        for (std::size_t v = 0; v < n; ++v) {
+            std::vector<Vertex> row;
+            for (std::size_t step : {n - 2, n - 1, std::size_t{1}, std::size_t{2}}) {
+                row.push_back(static_cast<Vertex>((v + step) % n));
+            }
+            std::sort(row.begin(), row.end());
+            neighbours.insert(neighbours.end(), row.begin(), row.end());
+            offsets.push_back(neighbours.size());
+        }
+    }
+    Vertex* row(std::size_t v) { return neighbours.data() + offsets[v]; }
+
+    std::vector<std::size_t> offsets{0};
+    std::vector<Vertex> neighbours;
+};
+
+/// from_csr's refusal of a CSR without its source location, or
+/// "accepted".
+std::string csr_refusal(std::vector<std::size_t> offsets, std::vector<Vertex> neighbours) {
+    try {
+        (void)Graph::from_csr(std::move(offsets), std::move(neighbours));
+    } catch (const ContractViolation& error) {
+        const std::string what = error.what();
+        const std::string prefix = "Precondition violated: ";
+        const std::size_t from = what.rfind(prefix, 0) == 0 ? prefix.size() : 0;
+        return what.substr(from, what.find(" [") - from);
+    }
+    return "accepted";
+}
+
 TEST(GenPlumbing, ChunkBufferCanonicalisesAndFlushes) {
     gen::CollectSink sink;
     gen::ChunkBuffer buffer(sink, 3);
@@ -459,6 +495,71 @@ TEST(GenPlumbing, FromCsrRejectsBrokenInvariants) {
     const Graph ok = Graph::from_csr({0, 1, 2}, {1, 0});
     EXPECT_EQ(ok.edge_count(), 1u);
     EXPECT_TRUE(ok.has_edge(0, 1));
+
+    // At a size whose checks split into blocks, a defect planted near the
+    // top (in the last block) reads exactly like the serial pass's refusal.
+    const std::size_t n = 100000;
+    const Vertex hi = n - 10;
+    Circulant valid(n);
+    EXPECT_EQ(Graph::from_csr(valid.offsets, valid.neighbours).edge_count(), 2 * n);
+    const auto refusal = [](const Circulant& csr) {
+        return csr_refusal(csr.offsets, csr.neighbours);
+    };
+    const std::string monotone = "from_csr: offsets must be monotone";
+    const std::string range = "from_csr: neighbour out of range";
+    const std::string loop = "from_csr: self-loops are not allowed";
+    const std::string order = "from_csr: adjacency must be ascending and deduplicated";
+    const std::string mirror = "from_csr: adjacency must be symmetric";
+    {
+        Circulant csr(n);
+        csr.offsets[hi] = csr.offsets[hi - 1] - 1;
+        EXPECT_EQ(refusal(csr), monotone);
+    }
+    {
+        Circulant csr(n);
+        csr.row(hi)[3] = static_cast<Vertex>(n);
+        EXPECT_EQ(refusal(csr), range);
+    }
+    {
+        Circulant csr(n);
+        csr.row(hi)[1] = hi;  // {hi-2, hi, hi+1, hi+2}: ascending, one loop
+        EXPECT_EQ(refusal(csr), loop);
+    }
+    {
+        Circulant csr(n);
+        std::swap(csr.row(hi)[0], csr.row(hi)[1]);
+        EXPECT_EQ(refusal(csr), order);
+    }
+    {
+        Circulant csr(n);
+        csr.row(hi)[1] = csr.row(hi)[0];
+        EXPECT_EQ(refusal(csr), order);
+    }
+    {
+        Circulant csr(n);
+        csr.row(hi)[3] = hi + 3;  // hi -> hi+3 has no mirror
+        EXPECT_EQ(refusal(csr), mirror);
+    }
+    // Two defects in different blocks: the lower vertex's refusal wins,
+    // and every row check runs before the symmetry walk.
+    {
+        Circulant csr(n);
+        csr.row(10)[1] = 10;
+        csr.row(hi)[3] = static_cast<Vertex>(n);
+        EXPECT_EQ(refusal(csr), loop);
+    }
+    {
+        Circulant csr(n);
+        csr.row(10)[3] = static_cast<Vertex>(n);
+        csr.row(hi)[1] = hi;
+        EXPECT_EQ(refusal(csr), range);
+    }
+    {
+        Circulant csr(n);
+        csr.row(10)[3] = 13;
+        std::swap(csr.row(hi)[0], csr.row(hi)[1]);
+        EXPECT_EQ(refusal(csr), order);
+    }
 }
 
 TEST(GenPlumbing, MetricsAreRecorded) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "support/expect.hpp"
@@ -51,6 +52,39 @@ TEST(GraphBuilder, DeduplicatesParallelEdges) {
     const Graph g = b.build();
     EXPECT_EQ(g.edge_count(), 1u);
     EXPECT_EQ(g.degree(0), 1u);
+
+    // At a size whose rows sort in blocks: a circulant graph inserted with
+    // every {v, v+1} edge twice and a chord from every 1000th vertex to its
+    // antipode three times, so rows on both sides of every block edge
+    // shrink and the blocks slide down.  The reference is the deduplicated
+    // CSR assembled row by row.
+    const std::size_t n = 100000;
+    std::vector<std::vector<Vertex>> rows(n);
+    GraphBuilder large(n);
+    const auto add = [&](Vertex u, Vertex v) {
+        large.add_edge(u, v);
+        rows[u].push_back(v);
+        rows[v].push_back(u);
+    };
+    for (Vertex v = 0; v < n; ++v) {
+        add(v, static_cast<Vertex>((v + 1) % n));
+        add(v, static_cast<Vertex>((v + 2) % n));
+        add(static_cast<Vertex>((v + 1) % n), v);
+    }
+    for (Vertex v = 0; v < n / 2; v += 1000) {
+        for (int copy = 0; copy < 3; ++copy) add(static_cast<Vertex>(v + n / 2), v);
+    }
+    std::vector<std::size_t> offsets{0};
+    std::vector<Vertex> neighbours;
+    for (auto& row : rows) {
+        std::sort(row.begin(), row.end());
+        row.erase(std::unique(row.begin(), row.end()), row.end());
+        neighbours.insert(neighbours.end(), row.begin(), row.end());
+        offsets.push_back(neighbours.size());
+    }
+    const Graph built = large.build();
+    EXPECT_EQ(built, Graph::from_csr(std::move(offsets), std::move(neighbours)));
+    EXPECT_EQ(built.edge_count(), 2 * n + n / 2000);
 }
 
 TEST(GraphBuilder, RejectsSelfLoopsAndOutOfRange) {
