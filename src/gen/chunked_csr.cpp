@@ -108,47 +108,10 @@ graph::Graph build_chunked_csr(StreamingGenerator& generator, BuildStats* stats)
         }
     }
 
-    // Sort + dedup each adjacency range in parallel, recording the unique
-    // count per vertex, then compact sequentially (write offsets depend on
-    // every predecessor).
-    std::vector<std::uint32_t> unique(n, 0);
-    {
-        const std::size_t threads = config.threads == 0
-                                        ? support::ThreadPool::global().worker_count()
-                                        : std::max<std::size_t>(config.threads, 1);
-        const std::size_t block = std::max<std::size_t>(1, (n + threads - 1) / threads);
-        support::TaskGroup group(support::ThreadPool::global());
-        for (std::size_t begin = 0; begin < n; begin += block) {
-            const std::size_t end = std::min(n, begin + block);
-            group.submit([&, begin, end] {
-                for (std::size_t v = begin; v < end; ++v) {
-                    const auto first =
-                        neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-                    const auto last =
-                        neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-                    std::sort(first, last);
-                    unique[v] = static_cast<std::uint32_t>(
-                        std::distance(first, std::unique(first, last)));
-                }
-            });
-        }
-        group.wait();
-    }
-    std::size_t write = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t begin = offsets[v];
-        offsets[v] = write;
-        if (begin != write) {
-            std::copy_n(neighbours.begin() + static_cast<std::ptrdiff_t>(begin),
-                        unique[v],
-                        neighbours.begin() + static_cast<std::ptrdiff_t>(write));
-        }
-        write += unique[v];
-    }
-    offsets[n] = write;
-    neighbours.resize(write);
+    // Sort + dedup each adjacency range and compact in place.
+    graph::sort_dedup_rows(offsets, neighbours, config.threads);
 
-    if (stats != nullptr) stats->unique_edges = write / 2;
+    if (stats != nullptr) stats->unique_edges = neighbours.size() / 2;
     return graph::Graph::from_csr(std::move(offsets), std::move(neighbours));
 }
 

@@ -1,12 +1,15 @@
 #include "gen/families.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "rng/rng.hpp"
 #include "rng/sampling.hpp"
 #include "support/expect.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ld::gen {
 
@@ -18,6 +21,11 @@ namespace {
 // hash_draw stream tags; any distinct constants keep the streams disjoint.
 constexpr std::uint64_t kBaTag = 0x1bab1ed6e5ULL;
 constexpr std::uint64_t kPosTag = 0x6e0c00cdULL;
+
+/// Block work of one vertex's transcendental call (a pow or a log2 plus a
+/// hash), in CSR-entry units: a pass over n such vertices splits into
+/// blocks from n = 8192 on.
+constexpr std::size_t kPowWork = 16;
 
 /// Map a 64-bit hash onto [0, bound) by fixed-point multiply — the
 /// deterministic cousin of Rng::next_below for stateless draws.
@@ -276,18 +284,25 @@ std::pair<std::vector<double>, double> power_law_weights(std::size_t n, double g
     expects(gamma > 2.0, "power_law_weights: gamma must exceed 2");
     std::vector<double> w(n);
     const double exponent = -1.0 / (gamma - 1.0);
+    // The weights fill in blocks; each sum stays one pass in index order,
+    // so it rounds as a serial fill's does.
+    const support::RowBlocks blocks(n, kPowWork);
+    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            w[v] = std::pow(static_cast<double>(v + 1), exponent);
+        }
+    });
     double sum = 0.0;
-    for (std::size_t v = 0; v < n; ++v) {
-        w[v] = std::pow(static_cast<double>(v + 1), exponent);
-        sum += w[v];
-    }
+    for (const double x : w) sum += x;
     const double scale = avg_degree * static_cast<double>(n) / sum;
+    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            w[v] *= scale;
+            if (cap > 0.0 && w[v] > cap) w[v] = cap;
+        }
+    });
     sum = 0.0;
-    for (double& x : w) {
-        x *= scale;
-        if (cap > 0.0 && x > cap) x = cap;
-        sum += x;
-    }
+    for (const double x : w) sum += x;
     return {std::move(w), sum};
 }
 
@@ -367,26 +382,73 @@ void HyperbolicGen::prepare() {
     weights_ = std::move(w);
     weight_sum_ = sum;
 
-    // Dyadic weight layers.  Weights descend with vertex index, so each
-    // layer is a run of consecutive indices; empty layers are possible
-    // (large weight jumps at the top ranks) and simply spawn no tasks.
+    // Dyadic weight layers, each listing its members by (position, id).
+    // Weights descend with vertex index, so each layer is a run of
+    // consecutive indices; empty layers are possible (large weight jumps
+    // at the top ranks) and simply spawn no tasks.
     const double w_min = weights_.back();
-    const auto layer_of = [&](Vertex v) {
+    const auto layer_of = [&](std::size_t v) {
         return static_cast<std::size_t>(
             std::max(0.0, std::floor(std::log2(weights_[v] / w_min))));
     };
     layers_.assign(layer_of(0) + 1, Layer{});
-    std::vector<std::vector<std::pair<double, Vertex>>> members(layers_.size());
-    for (std::size_t v = 0; v < n; ++v) {
-        const auto vert = static_cast<Vertex>(v);
-        members[layer_of(vert)].emplace_back(position(vert), vert);
+    // Each layer splits into `buckets` equal position ranges.  The
+    // (layer, bucket) keys are the rows of a CSR over the vertices, filled
+    // by a counting sort (per-block counts, then each block scatters its
+    // own vertices) and sorted row by row; rows in key order then list
+    // every layer by ascending (position, id), a bucket holding only
+    // positions above the previous bucket's.  Pairs are distinct, so the
+    // order does not depend on the scatter's.
+    // A power of two, so pos * buckets is exact and stays below buckets.
+    const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(1, n / 512));
+    const std::size_t keys = layers_.size() * buckets;
+    const auto key_of = [&](std::size_t v, double pos) {
+        return layer_of(v) * buckets +
+               static_cast<std::size_t>(pos * static_cast<double>(buckets));
+    };
+    const support::RowBlocks vertex_blocks(n, kPowWork);
+    std::vector<std::size_t> key(n);
+    std::vector<std::size_t> cursors(vertex_blocks.count() * keys, 0);
+    vertex_blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
+        std::size_t* count = cursors.data() + block * keys;
+        for (std::size_t v = begin; v < end; ++v) {
+            key[v] = key_of(v, position(static_cast<Vertex>(v)));
+            ++count[key[v]];
+        }
+    });
+    std::vector<std::size_t> rows(keys + 1);
+    std::size_t filled = 0;
+    for (std::size_t key = 0; key < keys; ++key) {
+        rows[key] = filled;
+        for (std::size_t block = 0; block < vertex_blocks.count(); ++block) {
+            filled += std::exchange(cursors[block * keys + key], filled);
+        }
     }
+    rows[keys] = filled;
+    std::vector<std::pair<double, Vertex>> members(n);
+    vertex_blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
+        std::size_t* cursor = cursors.data() + block * keys;
+        for (std::size_t v = begin; v < end; ++v) {
+            const auto vert = static_cast<Vertex>(v);
+            members[cursor[key[v]]++] = {position(vert), vert};
+        }
+    });
+    const auto at = [&](std::size_t i) {
+        return members.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    support::RowBlocks(rows).run([&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t key = begin; key < end; ++key) {
+            std::sort(at(rows[key]), at(rows[key + 1]));
+        }
+    });
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        std::sort(members[l].begin(), members[l].end());
         Layer& layer = layers_[l];
-        layer.ids.reserve(members[l].size());
-        layer.positions.reserve(members[l].size());
-        for (const auto& [pos, id] : members[l]) {
+        const std::size_t first = rows[l * buckets];
+        const std::size_t last = rows[(l + 1) * buckets];
+        layer.ids.reserve(last - first);
+        layer.positions.reserve(last - first);
+        for (std::size_t i = first; i < last; ++i) {
+            const auto& [pos, id] = members[i];
             layer.positions.push_back(pos);
             layer.ids.push_back(id);
             layer.max_weight = std::max(layer.max_weight, weights_[id]);

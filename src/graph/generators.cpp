@@ -10,6 +10,7 @@
 
 #include "rng/sampling.hpp"
 #include "support/expect.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ld::graph {
 
@@ -142,7 +143,7 @@ Graph make_random_d_regular(rng::Rng& rng, std::size_t n, std::size_t d) {
     std::vector<std::pair<Vertex, Vertex>> defective;
     std::vector<Edge> pool;
     pool.reserve(n * d / 2);
-    const auto row = [&](Vertex v) { return adj.data() + v * d; };
+    const auto row = [&](std::size_t v) { return adj.data() + v * d; };
     const auto contains = [&](Vertex a, Vertex b) {
         return std::find(row(a), row(a) + deg[a], b) != row(a) + deg[a];
     };
@@ -154,8 +155,13 @@ Graph make_random_d_regular(rng::Rng& rng, std::size_t n, std::size_t d) {
         Vertex* slot = std::find(row(a), row(a) + deg[a], b);
         *slot = row(a)[--deg[a]];
     };
+    const support::RowBlocks row_blocks(n, d + 1);
     const auto sort_rows = [&] {
-        for (Vertex v = 0; v < n; ++v) std::sort(row(v), row(v) + deg[v]);
+        row_blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t v = begin; v < end; ++v) {
+                std::sort(row(v), row(v) + deg[v]);
+            }
+        });
     };
     const auto canon = [](Vertex a, Vertex b) { return a < b ? Edge{a, b} : Edge{b, a}; };
     for (int attempt = 0; attempt < kMaxRestarts; ++attempt) {

@@ -1,8 +1,10 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "support/expect.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ld::graph {
 
@@ -18,28 +20,46 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
             "from_csr: offsets must span the neighbour array");
     const std::size_t n = offsets.size() - 1;
     expects(neighbours.size() % 2 == 0, "from_csr: half-edge count must be even");
-    for (std::size_t v = 0; v < n; ++v) {
-        expects(offsets[v] <= offsets[v + 1], "from_csr: offsets must be monotone");
-        for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-            expects(neighbours[i] < n, "from_csr: neighbour out of range");
-            expects(neighbours[i] != v, "from_csr: self-loops are not allowed");
-            expects(i == offsets[v] || neighbours[i - 1] < neighbours[i],
-                    "from_csr: adjacency must be ascending and deduplicated");
+    // Both passes split into blocks of rows; a failing block reports its
+    // first failure and the lowest block's wins, as in one serial pass.
+    const support::RowBlocks blocks(offsets);
+    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+            // An offset past the array implies a later decrease.
+            expects(offsets[v] <= offsets[v + 1] && offsets[v + 1] <= neighbours.size(),
+                    "from_csr: offsets must be monotone");
+            for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+                expects(neighbours[i] < n, "from_csr: neighbour out of range");
+                expects(neighbours[i] != v, "from_csr: self-loops are not allowed");
+                expects(i == offsets[v] || neighbours[i - 1] < neighbours[i],
+                        "from_csr: adjacency must be ascending and deduplicated");
+            }
         }
-    }
+    });
     // Symmetry: every half-edge must have its mirror.  Visiting u in
     // ascending order meets the mirrors of v's row in v's ascending order,
     // so one cursor per row consumes it front to back; a cursor that finds
     // anything but u (or runs off its row) is a half-edge without a mirror.
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t u = 0; u < n; ++u) {
-        for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-            const Vertex v = neighbours[i];
-            expects(cursor[v] < offsets[v + 1] && neighbours[cursor[v]] == u,
-                    "from_csr: adjacency must be symmetric");
-            ++cursor[v];
+    // Each block owns the cursors of one range of targets v and walks
+    // every row, but only the part of it inside that range (the rows are
+    // sorted now), so one cursor array serves all blocks.
+    const auto cursor = std::make_unique_for_overwrite<std::size_t[]>(n);
+    blocks.run([&](std::size_t, std::size_t lo, std::size_t hi) {
+        std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
+                  offsets.begin() + static_cast<std::ptrdiff_t>(hi), cursor.get() + lo);
+        for (std::size_t u = 0; u < n; ++u) {
+            const Vertex* first = neighbours.data() + offsets[u];
+            const Vertex* last = neighbours.data() + offsets[u + 1];
+            if (lo > 0) first = std::lower_bound(first, last, lo);
+            if (hi < n) last = std::lower_bound(first, last, hi);
+            for (; first != last; ++first) {
+                const Vertex v = *first;
+                expects(cursor[v] < offsets[v + 1] && neighbours[cursor[v]] == u,
+                        "from_csr: adjacency must be symmetric");
+                ++cursor[v];
+            }
         }
-    }
+    });
     return Graph(std::move(offsets), std::move(neighbours));
 }
 
@@ -74,9 +94,8 @@ GraphBuilder& GraphBuilder::add_edge(Vertex u, Vertex v) {
 
 Graph GraphBuilder::build() const {
     // Scatter both endpoints of every insertion, duplicates included, into
-    // CSR rows; then sort, deduplicate and compact each row in place.  A
-    // duplicated edge repeats in both of its rows, so the rows stay
-    // symmetric.
+    // CSR rows; then sort, deduplicate and compact them.  A duplicated edge
+    // repeats in both of its rows, so the rows stay symmetric.
     std::vector<std::size_t> offsets(n_ + 1, 0);
     for (const Edge& e : raw_) {
         ++offsets[e.u + 1];
@@ -90,22 +109,49 @@ Graph GraphBuilder::build() const {
         neighbours[cursor[e.u]++] = e.v;
         neighbours[cursor[e.v]++] = e.u;
     }
+    sort_dedup_rows(offsets, neighbours);
+    return Graph(std::move(offsets), std::move(neighbours));
+}
+
+void sort_dedup_rows(std::vector<std::size_t>& offsets, std::vector<Vertex>& neighbours,
+                     std::size_t width) {
+    const std::size_t n = offsets.size() - 1;
     const auto at = [&](std::size_t i) {
         return neighbours.begin() + static_cast<std::ptrdiff_t>(i);
     };
+    // Each block compacts its rows toward the start of its own span and
+    // records where its span now ends.  A block rewrites the offsets of its
+    // rows after the first, so no two blocks touch one offset.
+    const support::RowBlocks blocks(offsets, width);
+    std::vector<std::size_t> span_end(blocks.count());
+    blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
+        std::size_t first = offsets[begin];
+        std::size_t write = first;
+        for (std::size_t v = begin; v < end; ++v) {
+            const std::size_t last = offsets[v + 1];
+            std::sort(at(first), at(last));
+            const auto row_end = std::unique(at(first), at(last));
+            if (write != first) std::copy(at(first), row_end, at(write));  // shift left
+            write += static_cast<std::size_t>(row_end - at(first));
+            if (v + 1 < end) offsets[v + 1] = write;
+            first = last;
+        }
+        span_end[block] = write;
+    });
+    // Slide the compacted spans down in block order.
     std::size_t kept = 0;
-    for (std::size_t v = 0; v < n_; ++v) {
-        const std::size_t first = offsets[v];
-        const std::size_t last = offsets[v + 1];
-        std::sort(at(first), at(last));
-        const auto row_end = std::unique(at(first), at(last));
-        if (kept != first) std::copy(at(first), row_end, at(kept));  // shift left
-        offsets[v] = kept;
-        kept += static_cast<std::size_t>(row_end - at(first));
+    for (std::size_t block = 0; block < blocks.count(); ++block) {
+        const std::size_t first = offsets[blocks.begin(block)];
+        if (first != kept) {
+            std::copy(at(first), at(span_end[block]), at(kept));
+            for (std::size_t v = blocks.begin(block); v < blocks.end(block); ++v) {
+                offsets[v] -= first - kept;
+            }
+        }
+        kept += span_end[block] - first;
     }
-    offsets[n_] = kept;
+    offsets[n] = kept;
     neighbours.resize(kept);
-    return Graph(std::move(offsets), std::move(neighbours));
 }
 
 }  // namespace ld::graph

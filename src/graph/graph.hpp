@@ -52,6 +52,10 @@ public:
         return {neighbours_.data() + offsets_[v], neighbours_.data() + offsets_[v + 1]};
     }
 
+    /// Row boundaries: v's neighbours sit at offsets()[v] ..
+    /// offsets()[v + 1] of the CSR, size n + 1.
+    std::span<const std::size_t> offsets() const noexcept { return offsets_; }
+
     /// Degree of `v`.  O(1).
     std::size_t degree(Vertex v) const noexcept { return offsets_[v + 1] - offsets_[v]; }
 
@@ -97,5 +101,15 @@ private:
     std::size_t n_;
     std::vector<Edge> raw_;
 };
+
+/// Sort and deduplicate every row of a CSR whose rows may hold repeats,
+/// then close the gaps: on return `offsets` and `neighbours` describe the
+/// compacted CSR (the array shrinks in size, not in capacity).  Rows sort
+/// in blocks on the global pool, `width` capping the block count (0: the
+/// pool width); each block compacts its own span and the spans then slide
+/// down in order, so no second neighbour array is held.  GraphBuilder and
+/// the streaming generators' chunked builder share this step.
+void sort_dedup_rows(std::vector<std::size_t>& offsets, std::vector<Vertex>& neighbours,
+                     std::size_t width = 0);
 
 }  // namespace ld::graph

@@ -1,9 +1,11 @@
 #include "ld/model/instance.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "support/expect.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ld::model {
 
@@ -16,20 +18,41 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
     expects(alpha_ > 0.0, "Instance: alpha must be positive (acyclicity requires it)");
     // Precompute the approval CSR: one O(n + m) pass at construction buys
     // allocation-free approved_neighbours_view() in the replication loop.
-    // The pass tests each arc once.  α > 0 approves at most one direction
-    // of an edge, so edge_count() bounds the approved total.
+    // The pass tests each arc once.  Each block of voters lists its
+    // approved neighbours in its own array, the blocks' arrays are then
+    // joined in order; one block lists straight into the final array.
+    // α > 0 approves at most one direction of an edge, so edge_count()
+    // bounds the approved total.
     const std::size_t n = graph_.vertex_count();
     approved_offsets_.resize(n + 1);
     approved_offsets_[0] = 0;
-    approved_flat_.reserve(graph_.edge_count());
-    for (graph::Vertex v = 0; v < n; ++v) {
-        const double bar = competencies_[v] + alpha_;
-        for (graph::Vertex w : graph_.neighbours(v)) {
-            if (bar <= competencies_[w]) approved_flat_.push_back(w);
+    const support::RowBlocks blocks(graph_.offsets());
+    std::vector<std::vector<graph::Vertex>> lists(blocks.count());
+    blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
+        auto& list = blocks.count() == 1 ? approved_flat_ : lists[block];
+        list.reserve(std::min(graph_.edge_count(),
+                              graph_.offsets()[end] - graph_.offsets()[begin]));
+        for (std::size_t v = begin; v < end; ++v) {
+            const double bar = competencies_[v] + alpha_;
+            for (graph::Vertex w : graph_.neighbours(static_cast<graph::Vertex>(v))) {
+                if (bar <= competencies_[w]) list.push_back(w);
+            }
+            approved_offsets_[v + 1] = list.size();
         }
-        approved_offsets_[v + 1] = approved_flat_.size();
+    });
+    if (blocks.count() > 1) {
+        std::size_t total = 0;
+        for (const auto& list : lists) total += list.size();
+        approved_flat_.reserve(total);
+        for (std::size_t block = 0; block < blocks.count(); ++block) {
+            const std::size_t base = approved_flat_.size();
+            approved_flat_.insert(approved_flat_.end(), lists[block].begin(),
+                                  lists[block].end());
+            for (std::size_t v = blocks.begin(block); v < blocks.end(block); ++v) {
+                approved_offsets_[v + 1] += base;
+            }
+        }
     }
-    approved_flat_.shrink_to_fit();
 }
 
 std::vector<graph::Vertex> Instance::approved_neighbours(graph::Vertex v) const {

@@ -128,4 +128,63 @@ void TaskGroup::run(std::function<void()>& job) {
     done_.notify_all();
 }
 
+RowBlocks::RowBlocks(std::span<const std::size_t> offsets, std::size_t width) {
+    // Row v costs its entries plus one, so the work before it is
+    // offsets[v] + v (every caller's offsets start at 0).
+    cut(offsets.size() - 1, width, [offsets](std::size_t v) { return offsets[v] + v; });
+}
+
+RowBlocks::RowBlocks(std::size_t rows, std::size_t row_work, std::size_t width) {
+    cut(rows, width, [row_work](std::size_t v) { return v * row_work; });
+}
+
+void RowBlocks::cut(std::size_t rows, std::size_t width,
+                    const std::function<std::size_t(std::size_t)>& work_before) {
+    if (width == 0) width = ThreadPool::global().worker_count();
+    const std::size_t total = work_before(rows);
+    const std::size_t blocks = std::clamp<std::size_t>(total / kMinBlockWork, 1, width);
+    bounds_.assign(1, 0);
+    for (std::size_t b = 1; b < blocks; ++b) {
+        // First row whose preceding work reaches b/blocks of the total.
+        const std::size_t share = total * b / blocks;
+        std::size_t lo = bounds_.back();
+        std::size_t hi = rows;
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (work_before(mid) < share) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if (lo > bounds_.back() && lo < rows) bounds_.push_back(lo);
+    }
+    bounds_.push_back(rows);
+}
+
+void RowBlocks::run(
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const {
+    if (count() == 1) {
+        body(0, bounds_[0], bounds_[1]);
+        return;
+    }
+    std::vector<std::exception_ptr> errors(count());
+    {
+        TaskGroup group(ThreadPool::global());
+        for (std::size_t b = 0; b < count(); ++b) {
+            group.submit([&, b] {
+                try {
+                    body(b, bounds_[b], bounds_[b + 1]);
+                } catch (...) {
+                    errors[b] = std::current_exception();
+                }
+            });
+        }
+        group.wait();
+    }
+    for (const std::exception_ptr& error : errors) {
+        if (error) std::rethrow_exception(error);
+    }
+}
+
 }  // namespace ld::support

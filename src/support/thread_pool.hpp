@@ -29,6 +29,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -120,6 +121,46 @@ private:
     std::condition_variable done_;
     std::size_t pending_ = 0;
     std::exception_ptr error_;
+};
+
+/// A per-row pass over CSR-shaped data (graph assembly: checks, row sorts,
+/// approval lists) cut into contiguous blocks of rows that run on the
+/// global pool.  Blocks are cut at equal shares of work, a row costing its
+/// entry count plus one, so the heavy low-id rows of Chung–Lu and
+/// hyperbolic graphs do not pile into one block.  The block count is the
+/// pool width, capped so that every block carries at least kMinBlockWork;
+/// a pass that fits in one block runs inline on the calling thread.
+/// Where blocks write only their own rows, the result does not depend on
+/// the cut, hence not on the pool width either.
+class RowBlocks {
+public:
+    /// Work below which a pass stays in one block (about one CSR entry
+    /// visit per unit).
+    static constexpr std::size_t kMinBlockWork = std::size_t{1} << 16;
+
+    /// The rows of a CSR, row v spanning offsets[v] .. offsets[v + 1].
+    /// Non-monotone offsets still cut [0, n) into blocks, only not
+    /// evenly.  `width` caps the block count; 0 means the pool width.
+    explicit RowBlocks(std::span<const std::size_t> offsets, std::size_t width = 0);
+
+    /// `rows` rows that cost `row_work` units each.
+    RowBlocks(std::size_t rows, std::size_t row_work, std::size_t width = 0);
+
+    std::size_t count() const noexcept { return bounds_.size() - 1; }
+    std::size_t begin(std::size_t block) const { return bounds_[block]; }
+    std::size_t end(std::size_t block) const { return bounds_[block + 1]; }
+
+    /// Run `body(block, begin, end)` for every block: inline when there is
+    /// one, else on the global pool.  A block that throws stops; the others
+    /// run on, and the lowest block's exception is rethrown, so a pass
+    /// whose blocks check rows in order fails like the serial pass.
+    void run(const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const;
+
+private:
+    void cut(std::size_t rows, std::size_t width,
+             const std::function<std::size_t(std::size_t)>& work_before);
+
+    std::vector<std::size_t> bounds_;  // count() + 1 row boundaries
 };
 
 }  // namespace ld::support

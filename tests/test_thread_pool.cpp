@@ -1,17 +1,22 @@
 // Tests for the persistent worker pool under the replication engine:
 // completion, exception propagation, and — critically — deadlock-free
-// nested submit/wait on a single-worker pool (work-helping).
+// nested submit/wait on a single-worker pool (work-helping); and for the
+// RowBlocks helper graph assembly runs its per-row passes through.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "support/thread_pool.hpp"
 
 namespace {
 
+using ld::support::RowBlocks;
 using ld::support::TaskGroup;
 using ld::support::ThreadPool;
 
@@ -92,6 +97,68 @@ TEST(ThreadPool, GroupsShareOnePoolConcurrently) {
     gb.wait();
     EXPECT_EQ(a.load(), 16);
     EXPECT_EQ(b.load(), 16);
+}
+
+TEST(RowBlocks, SmallPassesStayInOneBlock) {
+    // 4000 rows of 8 entries: 36000 units, under one block's minimum.
+    std::vector<std::size_t> offsets(4001);
+    for (std::size_t v = 0; v <= 4000; ++v) offsets[v] = 8 * v;
+    const RowBlocks blocks(offsets);
+    ASSERT_EQ(blocks.count(), 1u);
+    EXPECT_EQ(blocks.begin(0), 0u);
+    EXPECT_EQ(blocks.end(0), 4000u);
+    const auto caller = std::this_thread::get_id();
+    blocks.run([&](std::size_t, std::size_t, std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);  // inline
+    });
+    EXPECT_EQ(RowBlocks(0, 1).count(), 1u);
+    EXPECT_EQ(RowBlocks(1 << 20, 1, 1).count(), 1u);  // width 1: one block
+}
+
+TEST(RowBlocks, CutsAtEqualSharesOfEntries) {
+    // Row v holds about 2e6 / (v + 1) entries, the heavy rows first.
+    const std::size_t n = 200000;
+    std::vector<std::size_t> offsets(n + 1, 0);
+    for (std::size_t v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + 2000000 / (v + 1);
+    const RowBlocks blocks(offsets, 4);
+    ASSERT_EQ(blocks.count(), 4u);
+    // Block b ends at the first row whose preceding work (entries plus
+    // one per row) reaches (b + 1) / 4 of the total.
+    const auto work_before = [&](std::size_t v) { return offsets[v] + v; };
+    const std::size_t total = work_before(n);
+    std::vector<int> visits(n, 0);
+    blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(begin, blocks.begin(block));
+        EXPECT_EQ(end, blocks.end(block));
+        for (std::size_t v = begin; v < end; ++v) ++visits[v];
+    });
+    for (std::size_t b = 0; b < blocks.count(); ++b) {
+        const std::size_t share = total * (b + 1) / 4;
+        EXPECT_LT(work_before(blocks.end(b) - 1), share) << "block " << b;
+        EXPECT_GE(work_before(blocks.end(b)), share) << "block " << b;
+        const double work =
+            static_cast<double>(work_before(blocks.end(b)) - work_before(blocks.begin(b)));
+        EXPECT_NEAR(work / static_cast<double>(total / 4), 1.0, 0.05) << "block " << b;
+    }
+    EXPECT_LT(blocks.end(0), n / 100);  // the first block is a few heavy rows
+    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), static_cast<std::ptrdiff_t>(n));
+}
+
+TEST(RowBlocks, LowestBlockExceptionIsRethrown) {
+    const RowBlocks blocks(1 << 20, 1, 4);
+    ASSERT_EQ(blocks.count(), 4u);
+    std::atomic<int> ran{0};
+    try {
+        blocks.run([&](std::size_t block, std::size_t, std::size_t) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            if (block == 3) throw std::runtime_error("block 3");
+            if (block == 1) throw std::runtime_error("block 1");
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string(error.what()), "block 1");
+    }
+    EXPECT_EQ(ran.load(), 4);  // a failing block does not cancel the others
 }
 
 }  // namespace
