@@ -9,11 +9,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "gen/factory.hpp"
 #include "graph/generators.hpp"
+#include "ld/cli/specs.hpp"
 #include "ld/delegation/incremental.hpp"
 #include "ld/delegation/realize.hpp"
 #include "ld/game/delegation_game.hpp"
@@ -23,6 +25,7 @@
 #include "ld/election/tally_delta.hpp"
 #include "ld/election/workspace.hpp"
 #include "ld/experiments/workloads.hpp"
+#include "ld/model/instance.hpp"
 #include "ld/mech/approval_size_threshold.hpp"
 #include "ld/mech/complete_graph_threshold.hpp"
 #include "prob/convolve.hpp"
@@ -52,6 +55,50 @@ void BM_GenerateDRegular(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_GenerateDRegular)->Arg(1000)->Arg(4000)->Arg(100000);
+
+// Graph and instance assembly (docs/ARCHITECTURE.md, "Graph assembly"):
+// Graph::from_csr's checks on a copy of a cl:2.5,8 CSR, and the Instance
+// build (approval lists) on dregular:8 with sweep_sparse's competencies.
+// Copies and the previous build's teardown stay outside the timing; at
+// n = 4000 the instance build fits in one block and runs inline.
+void BM_FromCsr(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(7);
+    const graph::Graph source = cli::make_graph("cl:2.5,8", n, rng);
+    const std::vector<std::size_t> offsets(source.offsets().begin(), source.offsets().end());
+    std::vector<graph::Vertex> neighbours;
+    for (graph::Vertex v = 0; v < n; ++v) {
+        const auto row = source.neighbours(v);
+        neighbours.insert(neighbours.end(), row.begin(), row.end());
+    }
+    std::optional<graph::Graph> built;
+    for (auto _ : state) {
+        state.PauseTiming();
+        built.reset();
+        auto offsets_copy = offsets;
+        auto neighbours_copy = neighbours;
+        state.ResumeTiming();
+        built.emplace(graph::Graph::from_csr(std::move(offsets_copy), std::move(neighbours_copy)));
+    }
+}
+BENCHMARK(BM_FromCsr)->Arg(100000)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+void BM_BuildInstance(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(8);
+    const graph::Graph graph = cli::make_graph("dregular:8", n, rng);
+    const model::CompetencyVector p = cli::make_competencies("uniform:0.45,0.555", n, rng);
+    std::optional<model::Instance> built;
+    for (auto _ : state) {
+        state.PauseTiming();
+        built.reset();
+        graph::Graph graph_copy = graph;
+        model::CompetencyVector p_copy = p;
+        state.ResumeTiming();
+        built.emplace(std::move(graph_copy), std::move(p_copy), 0.05);
+    }
+}
+BENCHMARK(BM_BuildInstance)->Arg(4000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateErdosRenyi(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

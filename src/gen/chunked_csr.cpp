@@ -1,6 +1,5 @@
 #include "gen/chunked_csr.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 
