@@ -399,21 +399,21 @@ void HyperbolicGen::prepare() {
     // every layer by ascending (position, id), a bucket holding only
     // positions above the previous bucket's.  Pairs are distinct, so the
     // order does not depend on the scatter's.
-    // A power of two, so pos * buckets is exact and stays below buckets.
+    // A power of two, so pos * buckets is exact and stays below buckets;
+    // at most 2^23 buckets and 33 layers for n < 2^32, so keys fit 32 bits.
     const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(1, n / 512));
     const std::size_t keys = layers_.size() * buckets;
-    const auto key_of = [&](std::size_t v, double pos) {
-        return layer_of(v) * buckets +
-               static_cast<std::size_t>(pos * static_cast<double>(buckets));
-    };
     const support::RowBlocks vertex_blocks(n, kPowWork);
-    std::vector<std::size_t> key(n);
+    std::vector<std::uint32_t> vertex_key(n);
     std::vector<std::size_t> cursors(vertex_blocks.count() * keys, 0);
     vertex_blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
         std::size_t* count = cursors.data() + block * keys;
         for (std::size_t v = begin; v < end; ++v) {
-            key[v] = key_of(v, position(static_cast<Vertex>(v)));
-            ++count[key[v]];
+            const double pos = position(static_cast<Vertex>(v));
+            vertex_key[v] = static_cast<std::uint32_t>(
+                layer_of(v) * buckets +
+                static_cast<std::size_t>(pos * static_cast<double>(buckets)));
+            ++count[vertex_key[v]];
         }
     });
     std::vector<std::size_t> rows(keys + 1);
@@ -430,7 +430,7 @@ void HyperbolicGen::prepare() {
         std::size_t* cursor = cursors.data() + block * keys;
         for (std::size_t v = begin; v < end; ++v) {
             const auto vert = static_cast<Vertex>(v);
-            members[cursor[key[v]]++] = {position(vert), vert};
+            members[cursor[vertex_key[v]]++] = {position(vert), vert};
         }
     });
     const auto at = [&](std::size_t i) {

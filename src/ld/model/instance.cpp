@@ -22,7 +22,9 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
     // approved neighbours in its own array, the blocks' arrays are then
     // joined in order; one block lists straight into the final array.
     // α > 0 approves at most one direction of an edge, so edge_count()
-    // bounds the approved total.
+    // bounds the approved total.  One block then trims the array as the
+    // serial build always did: keeping the spare capacity moved later
+    // allocations enough to make eval_exact's replications 8 % slower.
     const std::size_t n = graph_.vertex_count();
     approved_offsets_.resize(n + 1);
     approved_offsets_[0] = 0;
@@ -40,7 +42,9 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
             approved_offsets_[v + 1] = list.size();
         }
     });
-    if (blocks.count() > 1) {
+    if (blocks.count() == 1) {
+        approved_flat_.shrink_to_fit();
+    } else {
         std::size_t total = 0;
         for (const auto& list : lists) total += list.size();
         approved_flat_.reserve(total);
