@@ -284,25 +284,29 @@ std::pair<std::vector<double>, double> power_law_weights(std::size_t n, double g
     expects(gamma > 2.0, "power_law_weights: gamma must exceed 2");
     std::vector<double> w(n);
     const double exponent = -1.0 / (gamma - 1.0);
-    // The weights fill in blocks; each sum stays one pass in index order,
-    // so it rounds as a serial fill's does.
+    // The powers fill in blocks; each sum stays one pass in index order,
+    // so it rounds as a serial fill's does (one block sums as it fills).
     const support::RowBlocks blocks(n, kPowWork);
-    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t v = begin; v < end; ++v) {
-            w[v] = std::pow(static_cast<double>(v + 1), exponent);
-        }
-    });
+    const bool inline_sum = blocks.count() == 1;
     double sum = 0.0;
-    for (const double x : w) sum += x;
-    const double scale = avg_degree * static_cast<double>(n) / sum;
-    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+    blocks.run([&, out = w.data(), exponent](std::size_t, std::size_t begin, std::size_t end) {
+        double running = 0.0;
         for (std::size_t v = begin; v < end; ++v) {
-            w[v] *= scale;
-            if (cap > 0.0 && w[v] > cap) w[v] = cap;
+            out[v] = std::pow(static_cast<double>(v + 1), exponent);
+            running += out[v];
         }
+        if (inline_sum) sum = running;
     });
+    if (!inline_sum) {
+        for (const double x : w) sum += x;
+    }
+    const double scale = avg_degree * static_cast<double>(n) / sum;
     sum = 0.0;
-    for (const double x : w) sum += x;
+    for (double& x : w) {
+        x *= scale;
+        if (cap > 0.0 && x > cap) x = cap;
+        sum += x;
+    }
     return {std::move(w), sum};
 }
 
@@ -436,7 +440,8 @@ void HyperbolicGen::prepare() {
     const auto at = [&](std::size_t i) {
         return members.begin() + static_cast<std::ptrdiff_t>(i);
     };
-    support::RowBlocks(rows).run([&](std::size_t, std::size_t begin, std::size_t end) {
+    const support::RowBlocks row_blocks(rows, support::RowBlocks::kSortWork);
+    row_blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t key = begin; key < end; ++key) {
             std::sort(at(rows[key]), at(rows[key + 1]));
         }

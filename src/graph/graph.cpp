@@ -23,10 +23,11 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
     // Both passes split into blocks of rows; a failing block reports its
     // first failure and the lowest block's wins, as in one serial pass.
     const support::RowBlocks blocks(offsets);
-    blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+    const std::size_t half_edges = neighbours.size();
+    blocks.run([&, half_edges](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
             // An offset past the array implies a later decrease.
-            expects(offsets[v] <= offsets[v + 1] && offsets[v + 1] <= neighbours.size(),
+            expects(offsets[v] <= offsets[v + 1] && offsets[v + 1] <= half_edges,
                     "from_csr: offsets must be monotone");
             for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
                 expects(neighbours[i] < n, "from_csr: neighbour out of range");
@@ -44,9 +45,9 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
     // every row, but only the part of it inside that range (the rows are
     // sorted now), so one cursor array serves all blocks.
     const auto cursor = std::make_unique_for_overwrite<std::size_t[]>(n);
-    blocks.run([&](std::size_t, std::size_t lo, std::size_t hi) {
+    blocks.run([&, n, cursor = cursor.get()](std::size_t, std::size_t lo, std::size_t hi) {
         std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
-                  offsets.begin() + static_cast<std::ptrdiff_t>(hi), cursor.get() + lo);
+                  offsets.begin() + static_cast<std::ptrdiff_t>(hi), cursor + lo);
         for (std::size_t u = 0; u < n; ++u) {
             const Vertex* first = neighbours.data() + offsets[u];
             const Vertex* last = neighbours.data() + offsets[u + 1];
@@ -122,7 +123,7 @@ void sort_dedup_rows(std::vector<std::size_t>& offsets, std::vector<Vertex>& nei
     // Each block compacts its rows toward the start of its own span and
     // records where its span now ends.  A block rewrites the offsets of its
     // rows after the first, so no two blocks touch one offset.
-    const support::RowBlocks blocks(offsets, width);
+    const support::RowBlocks blocks(offsets, support::RowBlocks::kSortWork, width);
     std::vector<std::size_t> span_end(blocks.count());
     blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
         std::size_t first = offsets[begin];

@@ -11,6 +11,25 @@ namespace ld::model {
 
 using support::expects;
 
+namespace {
+
+/// Append the approved neighbours of voters [begin, end) to `list`, and
+/// each voter's end in `list` to ends[v + 1].  A free function, so the
+/// loop keeps its operands in registers across push_back.
+void list_approved(const graph::Graph& g, std::span<const double> p, double alpha,
+                   std::size_t begin, std::size_t end, std::vector<graph::Vertex>& list,
+                   std::size_t* ends) {
+    for (std::size_t v = begin; v < end; ++v) {
+        const double bar = p[v] + alpha;
+        for (graph::Vertex w : g.neighbours(static_cast<graph::Vertex>(v))) {
+            if (bar <= p[w]) list.push_back(w);
+        }
+        ends[v + 1] = list.size();
+    }
+}
+
+}  // namespace
+
 Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
     : graph_(std::move(g)), competencies_(std::move(p)), alpha_(alpha) {
     expects(graph_.vertex_count() == competencies_.size(),
@@ -34,13 +53,8 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
         auto& list = blocks.count() == 1 ? approved_flat_ : lists[block];
         list.reserve(std::min(graph_.edge_count(),
                               graph_.offsets()[end] - graph_.offsets()[begin]));
-        for (std::size_t v = begin; v < end; ++v) {
-            const double bar = competencies_[v] + alpha_;
-            for (graph::Vertex w : graph_.neighbours(static_cast<graph::Vertex>(v))) {
-                if (bar <= competencies_[w]) list.push_back(w);
-            }
-            approved_offsets_[v + 1] = list.size();
-        }
+        list_approved(graph_, competencies_.values(), alpha_, begin, end, list,
+                      approved_offsets_.data());
     });
     if (blocks.count() == 1) {
         approved_flat_.shrink_to_fit();

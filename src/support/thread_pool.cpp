@@ -128,10 +128,12 @@ void TaskGroup::run(std::function<void()>& job) {
     done_.notify_all();
 }
 
-RowBlocks::RowBlocks(std::span<const std::size_t> offsets, std::size_t width) {
-    // Row v costs its entries plus one, so the work before it is
-    // offsets[v] + v (every caller's offsets start at 0).
-    cut(offsets.size() - 1, width, [offsets](std::size_t v) { return offsets[v] + v; });
+RowBlocks::RowBlocks(std::span<const std::size_t> offsets, std::size_t entry_work,
+                     std::size_t width) {
+    // The work before row v is offsets[v] * entry_work + v (every caller's
+    // offsets start at 0).
+    cut(offsets.size() - 1, width,
+        [offsets, entry_work](std::size_t v) { return offsets[v] * entry_work + v; });
 }
 
 RowBlocks::RowBlocks(std::size_t rows, std::size_t row_work, std::size_t width) {

@@ -126,7 +126,7 @@ private:
 /// A per-row pass over CSR-shaped data (graph assembly: checks, row sorts,
 /// approval lists) cut into contiguous blocks of rows that run on the
 /// global pool.  Blocks are cut at equal shares of work, a row costing its
-/// entry count plus one, so the heavy low-id rows of Chung–Lu and
+/// entries (weighted by the pass) plus one, so the heavy low-id rows of Chung–Lu and
 /// hyperbolic graphs do not pile into one block.  The block count is the
 /// pool width, capped so that every block carries at least kMinBlockWork;
 /// a pass that fits in one block runs inline on the calling thread.
@@ -134,14 +134,19 @@ private:
 /// the cut, hence not on the pool width either.
 class RowBlocks {
 public:
-    /// Work below which a pass stays in one block (about one CSR entry
-    /// visit per unit).
+    /// Work below which a pass stays in one block, in units of one CSR
+    /// entry visited by a scan.
     static constexpr std::size_t kMinBlockWork = std::size_t{1} << 16;
 
-    /// The rows of a CSR, row v spanning offsets[v] .. offsets[v + 1].
-    /// Non-monotone offsets still cut [0, n) into blocks, only not
-    /// evenly.  `width` caps the block count; 0 means the pool width.
-    explicit RowBlocks(std::span<const std::size_t> offsets, std::size_t width = 0);
+    /// Units per entry of a row sort (a few compares and moves each).
+    static constexpr std::size_t kSortWork = 8;
+
+    /// The rows of a CSR, row v spanning offsets[v] .. offsets[v + 1] and
+    /// costing `entry_work` units per entry plus one.  Non-monotone
+    /// offsets still cut [0, n) into blocks, only not evenly.  `width`
+    /// caps the block count; 0 means the pool width.
+    explicit RowBlocks(std::span<const std::size_t> offsets, std::size_t entry_work = 1,
+                       std::size_t width = 0);
 
     /// `rows` rows that cost `row_work` units each.
     RowBlocks(std::size_t rows, std::size_t row_work, std::size_t width = 0);

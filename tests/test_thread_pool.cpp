@@ -120,7 +120,7 @@ TEST(RowBlocks, CutsAtEqualSharesOfEntries) {
     const std::size_t n = 200000;
     std::vector<std::size_t> offsets(n + 1, 0);
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + 2000000 / (v + 1);
-    const RowBlocks blocks(offsets, 4);
+    const RowBlocks blocks(offsets, 1, 4);
     ASSERT_EQ(blocks.count(), 4u);
     // Block b ends at the first row whose preceding work (entries plus
     // one per row) reaches (b + 1) / 4 of the total.
