@@ -65,7 +65,8 @@ void BM_FromCsr(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     rng::Rng rng(7);
     const graph::Graph source = cli::make_graph("cl:2.5,8", n, rng);
-    const std::vector<std::size_t> offsets(source.offsets().begin(), source.offsets().end());
+    const std::vector<std::size_t> offsets(source.offsets().begin(),
+                                           source.offsets().end());
     std::vector<graph::Vertex> neighbours;
     for (graph::Vertex v = 0; v < n; ++v) {
         const auto row = source.neighbours(v);
@@ -78,7 +79,8 @@ void BM_FromCsr(benchmark::State& state) {
         auto offsets_copy = offsets;
         auto neighbours_copy = neighbours;
         state.ResumeTiming();
-        built.emplace(graph::Graph::from_csr(std::move(offsets_copy), std::move(neighbours_copy)));
+        built.emplace(
+            graph::Graph::from_csr(std::move(offsets_copy), std::move(neighbours_copy)));
     }
 }
 BENCHMARK(BM_FromCsr)->Arg(100000)->Arg(200000)->Unit(benchmark::kMillisecond);
@@ -87,7 +89,8 @@ void BM_BuildInstance(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     rng::Rng rng(8);
     const graph::Graph graph = cli::make_graph("dregular:8", n, rng);
-    const model::CompetencyVector p = cli::make_competencies("uniform:0.45,0.555", n, rng);
+    const model::CompetencyVector p =
+        cli::make_competencies("uniform:0.45,0.555", n, rng);
     std::optional<model::Instance> built;
     for (auto _ : state) {
         state.PauseTiming();

@@ -289,7 +289,8 @@ std::pair<std::vector<double>, double> power_law_weights(std::size_t n, double g
     const support::RowBlocks blocks(n, kPowWork);
     const bool inline_sum = blocks.count() == 1;
     double sum = 0.0;
-    blocks.run([&, out = w.data(), exponent](std::size_t, std::size_t begin, std::size_t end) {
+    blocks.run([&, out = w.data(), exponent](std::size_t, std::size_t begin,
+                                             std::size_t end) {
         double running = 0.0;
         for (std::size_t v = begin; v < end; ++v) {
             out[v] = std::pow(static_cast<double>(v + 1), exponent);

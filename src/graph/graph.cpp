@@ -45,7 +45,8 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
     // every row, but only the part of it inside that range (the rows are
     // sorted now), so one cursor array serves all blocks.
     const auto cursor = std::make_unique_for_overwrite<std::size_t[]>(n);
-    blocks.run([&, n, cursor = cursor.get()](std::size_t, std::size_t lo, std::size_t hi) {
+    blocks.run([&, n, cursor = cursor.get()](std::size_t, std::size_t lo,
+                                             std::size_t hi) {
         std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
                   offsets.begin() + static_cast<std::ptrdiff_t>(hi), cursor + lo);
         for (std::size_t u = 0; u < n; ++u) {

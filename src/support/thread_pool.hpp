@@ -126,10 +126,11 @@ private:
 /// A per-row pass over CSR-shaped data (graph assembly: checks, row sorts,
 /// approval lists) cut into contiguous blocks of rows that run on the
 /// global pool.  Blocks are cut at equal shares of work, a row costing its
-/// entries (weighted by the pass) plus one, so the heavy low-id rows of Chung–Lu and
-/// hyperbolic graphs do not pile into one block.  The block count is the
-/// pool width, capped so that every block carries at least kMinBlockWork;
-/// a pass that fits in one block runs inline on the calling thread.
+/// entries (weighted by the pass) plus one, so the heavy low-id rows of
+/// Chung–Lu and hyperbolic graphs do not pile into one block.  The block
+/// count is the pool width, capped so that every block carries at least
+/// kMinBlockWork; a pass that fits in one block runs inline on the
+/// calling thread.
 /// Where blocks write only their own rows, the result does not depend on
 /// the cut, hence not on the pool width either.
 class RowBlocks {
@@ -159,7 +160,8 @@ public:
     /// one, else on the global pool.  A block that throws stops; the others
     /// run on, and the lowest block's exception is rethrown, so a pass
     /// whose blocks check rows in order fails like the serial pass.
-    void run(const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const;
+    void run(
+        const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const;
 
 private:
     void cut(std::size_t rows, std::size_t width,

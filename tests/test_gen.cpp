@@ -455,7 +455,8 @@ struct Circulant {
 
 /// from_csr's refusal of a CSR without its source location, or
 /// "accepted".
-std::string csr_refusal(std::vector<std::size_t> offsets, std::vector<Vertex> neighbours) {
+std::string csr_refusal(std::vector<std::size_t> offsets,
+                        std::vector<Vertex> neighbours) {
     try {
         (void)Graph::from_csr(std::move(offsets), std::move(neighbours));
     } catch (const ContractViolation& error) {

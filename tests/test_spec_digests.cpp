@@ -117,7 +117,8 @@ TEST(SpecDigests, GraphHeadsBuildTheRecordedGraphs) {
     };
     for (const auto& row : large) {
         const std::uint64_t hash = digest_of(row.spec, row.n);
-        EXPECT_EQ(hash, row.digest) << row.spec << " n=" << row.n << " digest=" << hex(hash);
+        EXPECT_EQ(hash, row.digest)
+            << row.spec << " n=" << row.n << " digest=" << hex(hash);
     }
 }
 

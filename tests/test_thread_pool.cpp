@@ -136,12 +136,13 @@ TEST(RowBlocks, CutsAtEqualSharesOfEntries) {
         const std::size_t share = total * (b + 1) / 4;
         EXPECT_LT(work_before(blocks.end(b) - 1), share) << "block " << b;
         EXPECT_GE(work_before(blocks.end(b)), share) << "block " << b;
-        const double work =
-            static_cast<double>(work_before(blocks.end(b)) - work_before(blocks.begin(b)));
+        const double work = static_cast<double>(work_before(blocks.end(b)) -
+                                                work_before(blocks.begin(b)));
         EXPECT_NEAR(work / static_cast<double>(total / 4), 1.0, 0.05) << "block " << b;
     }
     EXPECT_LT(blocks.end(0), n / 100);  // the first block is a few heavy rows
-    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
 }
 
 TEST(RowBlocks, LowestBlockExceptionIsRethrown) {
