@@ -111,7 +111,8 @@ graph::Graph build_chunked_csr(StreamingGenerator& generator, BuildStats* stats)
     graph::sort_dedup_rows(offsets, neighbours, config.threads);
 
     if (stats != nullptr) stats->unique_edges = neighbours.size() / 2;
-    return graph::Graph::from_csr(std::move(offsets), std::move(neighbours));
+    return graph::Graph::from_csr(std::move(offsets), std::move(neighbours),
+                                  config.threads);
 }
 
 }  // namespace ld::gen

@@ -1,7 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cstdint>
 
 #include "support/expect.hpp"
 #include "support/thread_pool.hpp"
@@ -14,15 +14,16 @@ Graph Graph::empty(std::size_t n) {
     return Graph(std::vector<std::size_t>(n + 1, 0), {});
 }
 
-Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neighbours) {
+Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neighbours,
+                      std::size_t width) {
     expects(!offsets.empty(), "from_csr: offsets must have size n + 1");
     expects(offsets.front() == 0 && offsets.back() == neighbours.size(),
             "from_csr: offsets must span the neighbour array");
     const std::size_t n = offsets.size() - 1;
     expects(neighbours.size() % 2 == 0, "from_csr: half-edge count must be even");
-    // Both passes split into blocks of rows; a failing block reports its
+    // The row checks split into blocks of rows; a failing block reports its
     // first failure and the lowest block's wins, as in one serial pass.
-    const support::RowBlocks blocks(offsets);
+    const support::RowBlocks blocks(offsets, 1, width);
     const std::size_t half_edges = neighbours.size();
     blocks.run([&, half_edges](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
@@ -39,29 +40,65 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
     });
     // Symmetry: every half-edge must have its mirror.  Visiting u in
     // ascending order meets the mirrors of v's row in v's ascending order,
-    // so one cursor per row consumes it front to back; a cursor that finds
-    // anything but u (or runs off its row) is a half-edge without a mirror.
-    // Each block owns the cursors of one range of targets v and walks
-    // every row, but only the part of it inside that range (the rows are
-    // sorted now), so one cursor array serves all blocks.
-    const auto cursor = std::make_unique_for_overwrite<std::size_t[]>(n);
-    blocks.run([&, n, cursor = cursor.get()](std::size_t, std::size_t lo,
-                                             std::size_t hi) {
-        std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
-                  offsets.begin() + static_cast<std::ptrdiff_t>(hi), cursor + lo);
-        for (std::size_t u = 0; u < n; ++u) {
-            const Vertex* first = neighbours.data() + offsets[u];
-            const Vertex* last = neighbours.data() + offsets[u + 1];
-            if (lo > 0) first = std::lower_bound(first, last, lo);
-            if (hi < n) last = std::lower_bound(first, last, hi);
-            for (; first != last; ++first) {
-                const Vertex v = *first;
-                expects(cursor[v] < offsets[v + 1] && neighbours[cursor[v]] == u,
-                        "from_csr: adjacency must be symmetric");
-                ++cursor[v];
+    // so one count per row consumes it front to back (visiting u in
+    // descending order: back to front); a row that shows anything but u
+    // next, or runs out, holds a half-edge without a mirror.
+    // When the row checks split, `mid` cuts the vertices into a low and a
+    // high half of about equal entries, and the half-edges fall into four
+    // tiles by the halves of their ends.  Three walks run in parallel:
+    // low to low and high to high each consume their own tile; high to low
+    // consumes the low rows' high entries from the back, which finds a
+    // mirror for each of its half-edges, so equal tile sizes leave none
+    // from low to high without one.  Sorted rows make each tile a prefix
+    // or a suffix of its rows, so no walk searches a row, and the walks
+    // together visit each half-edge once at any block count.  One half
+    // (mid = n) is the single serial walk.
+    const std::size_t mid =
+        support::RowBlocks(offsets, 1, std::min<std::size_t>(blocks.count(), 2)).end(0);
+    const std::size_t* off = offsets.data();
+    const Vertex* nb = neighbours.data();
+    const auto mirror = [off, nb](std::uint32_t& taken, Vertex v, std::size_t u,
+                                  bool from_back) {
+        const std::size_t k = taken++;
+        const std::size_t at = from_back ? off[v + 1] - 1 - k : off[v] + k;
+        expects(off[v] + k < off[v + 1] && nb[at] == u,
+                "from_csr: adjacency must be symmetric");
+    };
+    std::vector<std::uint32_t> taken(n);  // low rows from the front, high from the back
+    std::size_t low_to_low = 0;
+    std::size_t high_to_low = 0;
+    support::run_blocks(mid < n ? 3 : 1, [&](std::size_t tile) {
+        std::size_t walked = 0;
+        if (tile == 0) {
+            for (std::size_t u = 0; u < mid; ++u) {
+                std::size_t i = off[u];
+                for (; i < off[u + 1] && nb[i] < mid; ++i) {
+                    mirror(taken[nb[i]], nb[i], u, false);
+                }
+                walked += i - off[u];
             }
+            low_to_low = walked;
+        } else if (tile == 1) {
+            for (std::size_t u = n; u-- > mid;) {
+                for (std::size_t i = off[u + 1]; i > off[u] && nb[i - 1] >= mid; --i) {
+                    mirror(taken[nb[i - 1]], nb[i - 1], u, true);
+                }
+            }
+        } else {
+            std::vector<std::uint32_t> taken_high(mid);  // low rows' high entries
+            for (std::size_t u = n; u-- > mid;) {
+                std::size_t i = off[u];
+                for (; i < off[u + 1] && nb[i] < mid; ++i) {
+                    mirror(taken_high[nb[i]], nb[i], u, true);
+                }
+                walked += i - off[u];
+            }
+            high_to_low = walked;
         }
     });
+    // The low rows' entries left by the low-to-low walk are low to high.
+    expects(offsets[mid] - low_to_low == high_to_low,
+            "from_csr: adjacency must be symmetric");
     return Graph(std::move(offsets), std::move(neighbours));
 }
 

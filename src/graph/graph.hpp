@@ -40,9 +40,11 @@ public:
     /// and symmetric).  Validates the invariants in O(n + m) and throws
     /// ContractViolation on any breach — the escape hatch for builders
     /// (the streaming generation subsystem) that assemble CSR directly
-    /// instead of buffering an edge list through GraphBuilder.
+    /// instead of buffering an edge list through GraphBuilder.  The checks
+    /// run in blocks on the global pool, `width` capping the block count
+    /// (0: the pool width).
     static Graph from_csr(std::vector<std::size_t> offsets,
-                          std::vector<Vertex> neighbours);
+                          std::vector<Vertex> neighbours, std::size_t width = 0);
 
     std::size_t vertex_count() const noexcept { return offsets_.size() - 1; }
     std::size_t edge_count() const noexcept { return neighbours_.size() / 2; }

@@ -166,17 +166,21 @@ void RowBlocks::cut(std::size_t rows, std::size_t width,
 
 void RowBlocks::run(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const {
-    if (count() == 1) {
-        body(0, bounds_[0], bounds_[1]);
+    run_blocks(count(), [&](std::size_t b) { body(b, bounds_[b], bounds_[b + 1]); });
+}
+
+void run_blocks(std::size_t count, const std::function<void(std::size_t)>& body) {
+    if (count == 1) {
+        body(0);
         return;
     }
-    std::vector<std::exception_ptr> errors(count());
+    std::vector<std::exception_ptr> errors(count);
     {
         TaskGroup group(ThreadPool::global());
-        for (std::size_t b = 0; b < count(); ++b) {
+        for (std::size_t b = 0; b < count; ++b) {
             group.submit([&, b] {
                 try {
-                    body(b, bounds_[b], bounds_[b + 1]);
+                    body(b);
                 } catch (...) {
                     errors[b] = std::current_exception();
                 }

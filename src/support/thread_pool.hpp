@@ -156,10 +156,9 @@ public:
     std::size_t begin(std::size_t block) const { return bounds_[block]; }
     std::size_t end(std::size_t block) const { return bounds_[block + 1]; }
 
-    /// Run `body(block, begin, end)` for every block: inline when there is
-    /// one, else on the global pool.  A block that throws stops; the others
-    /// run on, and the lowest block's exception is rethrown, so a pass
-    /// whose blocks check rows in order fails like the serial pass.
+    /// Run `body(block, begin, end)` for every block through run_blocks,
+    /// so a pass whose blocks check rows in order fails like the serial
+    /// pass.
     void run(
         const std::function<void(std::size_t, std::size_t, std::size_t)>& body) const;
 
@@ -169,5 +168,10 @@ private:
 
     std::vector<std::size_t> bounds_;  // count() + 1 row boundaries
 };
+
+/// Run `body(0)` .. `body(count - 1)`: inline when count is 1, else on the
+/// global pool with the caller helping.  A call that throws stops; the
+/// others run on, and the lowest index's exception is rethrown.
+void run_blocks(std::size_t count, const std::function<void(std::size_t)>& body);
 
 }  // namespace ld::support

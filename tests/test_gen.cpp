@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fnv1a.hpp"
@@ -434,13 +435,18 @@ TEST(GenSpecs, MakeGraphRoutesThroughFacade) {
 // ------------------------------------------------------------ plumbing bits
 
 /// The circulant graph joining v to v ± 1 and v ± 2 (mod n) as a raw CSR,
-/// every row {v-2, v-1, v+1, v+2} ascending away from the wrap-around.
+/// every row {v-2, v-1, v+1, v+2} ascending away from the wrap-around,
+/// plus the half-edges `chords` (u, v), each listed in row u only.
 struct Circulant {
-    explicit Circulant(std::size_t n) {
+    explicit Circulant(std::size_t n,
+                       const std::vector<std::pair<Vertex, Vertex>>& chords = {}) {
         for (std::size_t v = 0; v < n; ++v) {
             std::vector<Vertex> row;
             for (std::size_t step : {n - 2, n - 1, std::size_t{1}, std::size_t{2}}) {
                 row.push_back(static_cast<Vertex>((v + step) % n));
+            }
+            for (const auto& [from, to] : chords) {
+                if (from == v) row.push_back(to);
             }
             std::sort(row.begin(), row.end());
             neighbours.insert(neighbours.end(), row.begin(), row.end());
@@ -541,6 +547,24 @@ TEST(GenPlumbing, FromCsrRejectsBrokenInvariants) {
         csr.row(hi)[3] = hi + 3;  // hi -> hi+3 has no mirror
         EXPECT_EQ(refusal(csr), mirror);
     }
+    // The symmetry walk splits the vertices into a low and a high half;
+    // chords across them check the half-edges that cross, in both
+    // directions.  Mirrored chords pass, in any order.
+    EXPECT_EQ(refusal(Circulant(n, {{10, hi - 20}, {hi - 20, 10}})), "accepted");
+    EXPECT_EQ(refusal(Circulant(n, {{10, hi - 30},
+                                    {10, hi - 20},
+                                    {hi - 20, 10},
+                                    {hi - 30, 10},
+                                    {20, hi - 20},
+                                    {hi - 20, 20}})),
+              "accepted");
+    // Low to high without mirrors: no row holds a wrong entry, only the
+    // crossing counts differ.
+    EXPECT_EQ(refusal(Circulant(n, {{10, hi - 20}, {20, hi - 30}})), mirror);
+    // High to low without mirrors.
+    EXPECT_EQ(refusal(Circulant(n, {{hi - 20, 10}, {hi - 30, 20}})), mirror);
+    // One chord each way, equal counts, but not mirrors of each other.
+    EXPECT_EQ(refusal(Circulant(n, {{10, hi - 20}, {hi - 20, 20}})), mirror);
     // Two defects in different blocks: the lower vertex's refusal wins,
     // and every row check runs before the symmetry walk.
     {
