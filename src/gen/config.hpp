@@ -53,7 +53,8 @@ struct GeneratorConfig {
     // Execution shape.  None of these affect the generated edge set.
     std::size_t chunk_edges = 1 << 16;  ///< edges per flush into the sink
     ShardSpec shard;
-    std::size_t threads = 1;      ///< worker threads (0 = auto: pool size)
+    std::size_t threads = 1;      ///< worker threads of every pass of a
+                                  ///< build (0 = auto: pool size)
     /// Peak-byte cap on the chunked-CSR pipeline (0 = unlimited); the
     /// builder estimates its footprint after the degree pass and refuses
     /// to allocate past this.  Env override: LIQUIDD_GEN_BUDGET_MB.

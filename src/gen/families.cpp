@@ -279,28 +279,21 @@ double WattsStrogatzGen::edge_estimate() const {
 // ----------------------------------------------------------------- weights
 
 std::pair<std::vector<double>, double> power_law_weights(std::size_t n, double gamma,
-                                                         double avg_degree,
-                                                         double cap) {
+                                                         double avg_degree, double cap,
+                                                         std::size_t width) {
     expects(gamma > 2.0, "power_law_weights: gamma must exceed 2");
     std::vector<double> w(n);
     const double exponent = -1.0 / (gamma - 1.0);
     // The powers fill in blocks; each sum stays one pass in index order,
-    // so it rounds as a serial fill's does (one block sums as it fills).
-    const support::RowBlocks blocks(n, kPowWork);
-    const bool inline_sum = blocks.count() == 1;
+    // so it rounds as a serial fill's does.
+    support::RowBlocks(n, kPowWork, width)
+        .run([out = w.data(), exponent](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t v = begin; v < end; ++v) {
+                out[v] = std::pow(static_cast<double>(v + 1), exponent);
+            }
+        });
     double sum = 0.0;
-    blocks.run([&, out = w.data(), exponent](std::size_t, std::size_t begin,
-                                             std::size_t end) {
-        double running = 0.0;
-        for (std::size_t v = begin; v < end; ++v) {
-            out[v] = std::pow(static_cast<double>(v + 1), exponent);
-            running += out[v];
-        }
-        if (inline_sum) sum = running;
-    });
-    if (!inline_sum) {
-        for (const double x : w) sum += x;
-    }
+    for (const double x : w) sum += x;
     const double scale = avg_degree * static_cast<double>(n) / sum;
     sum = 0.0;
     for (double& x : w) {
@@ -318,8 +311,8 @@ ChungLuGen::ChungLuGen(GeneratorConfig config)
 
 void ChungLuGen::prepare() {
     if (!weights_.empty()) return;
-    auto [w, sum] = power_law_weights(config().n, config().gamma,
-                                      config().avg_degree, config().max_weight);
+    auto [w, sum] = power_law_weights(config().n, config().gamma, config().avg_degree,
+                                      config().max_weight, config().threads);
     // The sqrt(S) ceiling keeps w_u * w_v / S a probability for every pair.
     const double ceiling = std::sqrt(sum);
     bool clipped = false;
@@ -383,7 +376,7 @@ void HyperbolicGen::prepare() {
     if (prepared_) return;
     const std::size_t n = config().n;
     auto [w, sum] = power_law_weights(n, config().gamma, config().avg_degree,
-                                      config().max_weight);
+                                      config().max_weight, config().threads);
     weights_ = std::move(w);
     weight_sum_ = sum;
 
@@ -408,7 +401,7 @@ void HyperbolicGen::prepare() {
     // at most 2^23 buckets and 33 layers for n < 2^32, so keys fit 32 bits.
     const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(1, n / 512));
     const std::size_t keys = layers_.size() * buckets;
-    const support::RowBlocks vertex_blocks(n, kPowWork);
+    const support::RowBlocks vertex_blocks(n, kPowWork, config().threads);
     std::vector<std::uint32_t> vertex_key(n);
     std::vector<std::size_t> cursors(vertex_blocks.count() * keys, 0);
     vertex_blocks.run([&](std::size_t block, std::size_t begin, std::size_t end) {
@@ -441,7 +434,8 @@ void HyperbolicGen::prepare() {
     const auto at = [&](std::size_t i) {
         return members.begin() + static_cast<std::ptrdiff_t>(i);
     };
-    const support::RowBlocks row_blocks(rows, support::RowBlocks::kSortWork);
+    const support::RowBlocks row_blocks(rows, support::RowBlocks::kSortWork,
+                                        config().threads);
     row_blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t key = begin; key < end; ++key) {
             std::sort(at(rows[key]), at(rows[key + 1]));

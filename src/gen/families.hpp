@@ -210,9 +210,11 @@ inline constexpr std::size_t kGeoCellMembers = 2048;
 
 /// Power-law weight sequence shared by chunglu/hyperbolic: w_v ∝
 /// (v+1)^(-1/(gamma-1)) scaled so the mean is `avg_degree`, then capped
-/// (cap <= 0 means uncapped).  Returns the weights and their sum.
+/// (cap <= 0 means uncapped).  Returns the weights and their sum.  The
+/// powers fill in blocks on the global pool, at most `width` of them (0:
+/// the pool width); the result does not depend on the block count.
 std::pair<std::vector<double>, double> power_law_weights(std::size_t n, double gamma,
-                                                         double avg_degree,
-                                                         double cap);
+                                                         double avg_degree, double cap,
+                                                         std::size_t width);
 
 }  // namespace ld::gen
