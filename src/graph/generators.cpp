@@ -155,10 +155,8 @@ Graph make_random_d_regular(rng::Rng& rng, std::size_t n, std::size_t d) {
         Vertex* slot = std::find(row(a), row(a) + deg[a], b);
         *slot = row(a)[--deg[a]];
     };
-    // Rows hold at most d entries and count as scans here, so a small head
-    // (eval_exact's n = 4000, d = 8) sorts inline: split in three there,
-    // the sorts ran faster in process but raised its end-to-end set-up.
-    const support::RowBlocks row_blocks(n, d + 1);
+    // Rows hold at most d entries, each weighted as a sort's.
+    const support::RowBlocks row_blocks(n, d * support::RowBlocks::kSortWork + 1);
     const auto sort_rows = [&] {
         row_blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
             for (std::size_t v = begin; v < end; ++v) {
