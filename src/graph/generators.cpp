@@ -155,8 +155,11 @@ Graph make_random_d_regular(rng::Rng& rng, std::size_t n, std::size_t d) {
         Vertex* slot = std::find(row(a), row(a) + deg[a], b);
         *slot = row(a)[--deg[a]];
     };
-    // Rows hold at most d entries, each weighted as a sort's.
-    const support::RowBlocks row_blocks(n, d * support::RowBlocks::kSortWork + 1);
+    // Rows hold at most d entries, cut as a scan's rows (not a sort's) so
+    // that the n = 4000 head sorts inline: split there, workers free the
+    // jobs' storage and the caller's heap differs from run to run.  At
+    // n = 10^5 the sorts split either way.
+    const support::RowBlocks row_blocks(n, d + 1);
     const auto sort_rows = [&] {
         row_blocks.run([&](std::size_t, std::size_t begin, std::size_t end) {
             for (std::size_t v = begin; v < end; ++v) {

@@ -142,9 +142,13 @@ RowBlocks::RowBlocks(std::size_t rows, std::size_t row_work, std::size_t width) 
 
 void RowBlocks::cut(std::size_t rows, std::size_t width,
                     const std::function<std::size_t(std::size_t)>& work_before) {
-    if (width == 0) width = ThreadPool::global().worker_count();
     const std::size_t total = work_before(rows);
-    const std::size_t blocks = std::clamp<std::size_t>(total / kMinBlockWork, 1, width);
+    std::size_t blocks = std::max<std::size_t>(total / kMinBlockWork, 1);
+    // Only a pass that can split asks for the pool width, so one that
+    // cannot never starts the pool.
+    if (blocks > 1) {
+        blocks = std::min(blocks, width == 0 ? ThreadPool::global().worker_count() : width);
+    }
     bounds_.assign(1, 0);
     for (std::size_t b = 1; b < blocks; ++b) {
         // First row whose preceding work reaches b/blocks of the total.

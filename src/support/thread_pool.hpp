@@ -130,7 +130,7 @@ private:
 /// Chung–Lu and hyperbolic graphs do not pile into one block.  The block
 /// count is the pool width, capped so that every block carries at least
 /// kMinBlockWork; a pass that fits in one block runs inline on the
-/// calling thread.
+/// calling thread and does not start the pool.
 /// Where blocks write only their own rows, the result does not depend on
 /// the cut, hence not on the pool width either.
 class RowBlocks {
